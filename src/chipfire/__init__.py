@@ -46,7 +46,6 @@ from .analysis import (
 )
 from .settlements import (
     balanced_B,
-    c_value,
     delta_strings,
     dormant_census,
     is_dormant,

@@ -61,48 +61,28 @@ def _frac_text(x: Fraction) -> str:
 
 
 def _record(n: int, params: GameParams, *, oracle: bool, fmt: str) -> dict:
-    a, b = params.a, params.b
-    log = None
     if oracle:
         state, log = stabilize(new_state(n, params))
         word = analysis.state_word(state)
+        f0, f1, total = log.fires.get(0, 0), log.fires.get(1, 0), log.total
     else:
         word = final_state(n, params)
+        f0, f1 = final_counts(n, params)
+        total = None
     left = DigitWord(word.integer_digits(), 0)
-    right_digits = word.fraction_digits()
-    right = DigitWord.fraction(right_digits)
-    left_val = eval_base(left, params)
-    right_val = eval_base(right, params)
-    index = f0 = f1 = total = None
-    if log is not None:
-        f0 = log.fires.get(0, 0)
-        f1 = log.fires.get(1, 0)
-        total = log.total
-        if params.is_structured():
-            index = f0
-    elif a != b:
-        # Firing counts carry over from the gcd-reduced game, and the origin
-        # count survives mirroring; the origout count does not.
-        d = params.d
-        ra, rb, rn = a // d, b // d, n // d
-        if ra < rb:
-            f0, f1 = final_counts(rn, GameParams(ra, rb))
-            if params.is_structured():
-                index = f0
-        else:
-            f0 = final_counts(rn, GameParams(rb, ra))[0]
-    if total is None and a != b:
+    right = DigitWord.fraction(word.fraction_digits())
+    if total is None and params.a != params.b:
         total = analysis.firings_from_M(analysis.combine(left, right, params))
     return {
-        "a": a,
-        "b": b,
+        "a": params.a,
+        "b": params.b,
         "n": n,
         "state": _state_text(word, fmt),
         "left": word_to_string(left, list_form=True if fmt == "list" else None),
         "right": word_to_string(right, list_form=True if fmt == "list" else None),
-        "settlement_index": index,
-        "left_value_boa": _frac_text(left_val),
-        "right_value_boa": _frac_text(right_val),
+        "settlement_index": f0 if params.is_structured() else None,
+        "left_value_boa": _frac_text(eval_base(left, params)),
+        "right_value_boa": _frac_text(eval_base(right, params)),
         "f0": f0,
         "f1": f1,
         "total_firings": total,
@@ -205,6 +185,13 @@ def cmd_profile(args, out) -> int:
     return 0
 
 
+def _int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InvalidParams(f"bad integer {token.strip()!r} in {what}") from None
+
+
 def _parse_grid(text: str) -> list[tuple[int, int]]:
     pairs = []
     for chunk in text.split(";"):
@@ -214,7 +201,7 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
         parts = chunk.split(",")
         if len(parts) != 2:
             raise InvalidParams(f"bad pair {chunk!r} in params grid")
-        pairs.append((int(parts[0]), int(parts[1])))
+        pairs.append((_int(parts[0], "params grid"), _int(parts[1], "params grid")))
     if not pairs:
         raise InvalidParams("empty params grid")
     return pairs
@@ -222,7 +209,9 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
 
 def cmd_verify(args, out) -> int:
     pairs = _parse_grid(args.params_grid) if args.params_grid else None
-    if args.a is not None and args.b is not None:
+    if (args.a is None) != (args.b is None):
+        raise InvalidParams("verify needs both -a and -b, or neither")
+    if args.a is not None:
         pairs = [(args.a, args.b)]
     suite = args.suite
     per_suite_kwargs: dict[str, dict] = {name: {} for name in SUITES}
@@ -255,7 +244,7 @@ def cmd_verify(args, out) -> int:
 
 def cmd_bench(args, out) -> int:
     params = GameParams(args.a, args.b)
-    grid = [int(tok) for tok in args.grid.split(",") if tok.strip()]
+    grid = [_int(tok, "bench grid") for tok in args.grid.split(",") if tok.strip()]
     if not grid or any(n < 0 for n in grid):
         raise InvalidParams(f"bad bench grid {args.grid!r}")
     # Warm up outside the timed region: numpy import and, for structured

@@ -191,7 +191,7 @@ def fire(state: ChipState, v: int) -> ChipState:
 class _Buffer:
     """Flat chip array over a window no reachable state can escape."""
 
-    __slots__ = ("off", "buf", "fcount", "lo", "hi", "n", "total")
+    __slots__ = ("off", "buf", "fcount", "lo", "hi", "total")
 
     def __init__(self, state: ChipState):
         support = state.support()
@@ -209,25 +209,18 @@ class _Buffer:
             self.buf[v + self.off] = c
         self.lo = lo0 + self.off
         self.hi = hi0 + self.off
-        self.n = n
         self.total = 0
 
-    def bounds_ok(self) -> bool:
-        return 1 <= self.lo and self.hi <= len(self.buf) - 2
-
     def to_state(self, params: GameParams) -> ChipState:
-        assert self.bounds_ok(), "support escaped the [lo-n, hi+n] bound"
-        chips = {}
-        for i in range(self.lo, self.hi + 1):
-            if self.buf[i]:
-                chips[i - self.off] = self.buf[i]
+        if not (1 <= self.lo and self.hi <= len(self.buf) - 2):
+            raise InvariantViolation("support escaped the [lo-n, hi+n] bound")
+        buf, off = self.buf, self.off
+        chips = {i - off: buf[i] for i in range(self.lo, self.hi + 1) if buf[i]}
         return ChipState(params, chips)
 
     def log(self) -> FiringLog:
-        fires = {}
-        for i in range(self.lo, self.hi + 1):
-            if self.fcount[i]:
-                fires[i - self.off] = self.fcount[i]
+        fcount, off = self.fcount, self.off
+        fires = {i - off: fcount[i] for i in range(self.lo, self.hi + 1) if fcount[i]}
         return FiringLog(fires, self.total)
 
 
@@ -288,18 +281,22 @@ class _Checker:
             self.check(bb)
 
 
-def _run_scan(bb: _Buffer, T: int, a: int, b: int, checker: _Checker | None,
-              rightmost: bool) -> None:
-    """Leftmost (or rightmost) schedule: always fire the extreme firable vertex."""
+def _scan(bb: _Buffer, T: int, a: int, b: int, v: int, step: int, floor: int,
+          checker: _Checker | None) -> None:
+    """Scan schedule: a cursor sweeps by ``step`` from buffer index v and fires
+    what it meets, stepping back one cell whenever a firing makes the cell
+    behind it firable.
+
+    Needs every cell strictly behind the start (down to ``floor`` when step
+    is +1) to hold fewer than T chips; cells below ``floor`` never fire.
+    step=+1 from lo is the leftmost schedule, step=-1 from hi the rightmost.
+    """
     buf = bb.buf
     fcount = bb.fcount
     lo, hi = bb.lo, bb.hi
     total = bb.total
-    step = -1 if rightmost else 1
-    v = hi if rightmost else lo
-    # Invariant: every vertex strictly behind the cursor holds < T chips.
     # Firing v can only push v-step back over the threshold, so the cursor
-    # retreats at most one cell per firing.
+    # retreats at most one cell per firing; the floor is only consulted then.
     while lo <= v <= hi:
         if buf[v] >= T:
             buf[v] -= T
@@ -315,7 +312,7 @@ def _run_scan(bb: _Buffer, T: int, a: int, b: int, checker: _Checker | None,
                 bb.lo, bb.hi, bb.total = lo, hi, total
                 checker.tick(bb)
             back = v - step
-            if buf[back] >= T:
+            if buf[back] >= T and back >= floor:
                 v = back
         else:
             v += step
@@ -425,9 +422,9 @@ def stabilize(
         checker.check(bb)
     T, a, b = p.threshold, p.a, p.b
     if strategy.kind == "leftmost":
-        _run_scan(bb, T, a, b, checker, rightmost=False)
+        _scan(bb, T, a, b, bb.lo, 1, 0, checker)
     elif strategy.kind == "rightmost":
-        _run_scan(bb, T, a, b, checker, rightmost=True)
+        _scan(bb, T, a, b, bb.hi, -1, 0, checker)
     elif strategy.kind == "parallel":
         _run_parallel(bb, T, a, b, checker)
     else:
@@ -435,7 +432,8 @@ def stabilize(
     if checker is not None:
         checker.check(bb)
     final = bb.to_state(p)
-    assert final.is_final()
+    if not final.is_final():
+        raise InvariantViolation(f"{strategy.kind} schedule stopped on a firable state")
     return final, bb.log()
 
 
@@ -446,22 +444,10 @@ def settle_right(state: ChipState) -> ChipState:
     receives whatever vertex 1 sends it.
     """
     p = state.params
-    T, a, b = p.threshold, p.a, p.b
-    chips = dict(state.chips)
-    work = [v for v, c in chips.items() if v >= 1 and c >= T]
-    while work:
-        v = work.pop()
-        c = chips.get(v, 0)
-        if c < T:
-            continue
-        fired = c // T
-        chips[v] = c - fired * T
-        chips[v - 1] = chips.get(v - 1, 0) + a * fired
-        chips[v + 1] = chips.get(v + 1, 0) + b * fired
-        for u in (v - 1, v + 1):
-            if u >= 1 and chips.get(u, 0) >= T:
-                work.append(u)
-    return ChipState(p, chips)
+    bb = _Buffer(state)
+    floor = bb.off + 1
+    _scan(bb, p.threshold, p.a, p.b, max(bb.lo, floor), 1, floor, None)
+    return bb.to_state(p)
 
 
 def increment_origin(state: ChipState) -> ChipState:
@@ -486,37 +472,18 @@ def oracle_states(params: GameParams, n_max: int):
     each added chip is one particular schedule for the n-chip game.
     """
     T, a, b = params.threshold, params.a, params.b
-    size = 2 * n_max + 5
-    off = n_max + 2
-    buf = [0] * size
-    fcount = [0] * size
-    lo = hi = off
-    total = 0
+    # Sized for the n_max-chip game; its chips arrive one at a time.
+    bb = _Buffer(new_state(n_max, params))
+    buf, off = bb.buf, bb.off
+    buf[off] = 0
     for n in range(n_max + 1):
         # Only the origin can cross the threshold on an increment, so the
         # scan is skipped when it stays below.
         if n > 0:
             buf[off] += 1
-            v = off if buf[off] >= T else hi + 1
-            while lo <= v <= hi:
-                if buf[v] >= T:
-                    buf[v] -= T
-                    buf[v - 1] += a
-                    buf[v + 1] += b
-                    fcount[v] += 1
-                    total += 1
-                    if v - 1 < lo:
-                        lo = v - 1
-                    if v + 1 > hi:
-                        hi = v + 1
-                    if buf[v - 1] >= T:
-                        v -= 1
-                else:
-                    v += 1
-        assert 1 <= lo and hi <= size - 2
-        chips = {i - off: buf[i] for i in range(lo, hi + 1) if buf[i]}
-        fires = {i - off: fcount[i] for i in range(lo, hi + 1) if fcount[i]}
-        yield n, ChipState(params, chips), FiringLog(fires, total)
+            if buf[off] >= T:
+                _scan(bb, T, a, b, off, 1, 0, None)
+        yield n, bb.to_state(params), bb.log()
 
 
 def stabilize_line(n: int, params: GameParams) -> tuple[ChipState, FiringLog]:
@@ -556,10 +523,12 @@ def stabilize_line(n: int, params: GameParams) -> tuple[ChipState, FiringLog]:
         last = lo + int(nz[-1])
         lo = first - 1
         hi = last + 1
-        assert lo >= 1 and hi <= 2 * N - 1
+        if not (lo >= 1 and hi <= 2 * N - 1):
+            raise InvariantViolation("support escaped the [-n-1, n+1] window")
     support = np.nonzero(chips)[0]
     state = ChipState(params, {int(i) - N: int(chips[i]) for i in support})
     fired = np.nonzero(fires)[0]
     log = FiringLog({int(i) - N: int(fires[i]) for i in fired}, total)
-    assert state.n == n and state.is_final()
+    if not (state.n == n and state.is_final()):
+        raise InvariantViolation(f"line stabilizer lost chips or stopped early at n={n}")
     return state, log

@@ -23,12 +23,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+from . import analysis
 from .engine import GameParams, oracle_states
 from .errors import InvalidParams, NotRegular, WindowFailure
-from .settlements import (
-    highest_dormant_index,
-    seq_for,
-)
+from .settlements import balanced_B, seq_for
 from .words import DigitWord, EMPTY_WORD
 
 __all__ = [
@@ -209,11 +207,9 @@ def _simulate_prefix(params: GameParams, n_max: int):
     f0s: list[int] = []
     f1s: list[int] = []
     for n, state, log in oracle_states(params, n_max):
-        lo = min(min(state.chips), 0) if state.chips else 0
-        hi = max(max(state.chips), 0) if state.chips else 0
-        digits = tuple(state.count(v) for v in range(lo, hi + 1))
-        words.append(DigitWord(digits, -hi))
-        lefts.append(digits[: 1 - lo])
+        word = analysis.state_word(state)
+        words.append(word)
+        lefts.append(word.integer_digits())
         f0s.append(log.fires.get(0, 0))
         f1s.append(log.fires.get(1, 0))
     return words, lefts, f0s, f1s
@@ -229,21 +225,22 @@ def compute_profile(
     H is the smallest n >= B such that every left digit is >= a and, for
     ``check_window`` consecutive increments, the fast transition (elevated
     left increment plus explosion-count index advance) and the closed-form
-    left word both reproduce the simulation exactly.  Raises WindowFailure
-    when no H certifies below scan_limit.
+    left word both reproduce the simulation exactly.  B comes from
+    balanced_B, which also checks every right part up to B against the
+    settlement sequence.  Raises WindowFailure when no H certifies below
+    scan_limit.
     """
     params.require_structured()
     seq = seq_for(params)
-    a, c = params.a, params.c
-    ac = a * c
-    last_dormant = highest_dormant_index(params)
+    ac = params.a * params.c
+    B = balanced_B(params, scan_limit)
 
     n_sim = 256
     while True:
         n_sim = min(n_sim, scan_limit + check_window)
-        words, lefts, f0s, f1s = _simulate_prefix(params, n_sim)
-        B = next((n for n in range(n_sim + 1) if f0s[n] > last_dormant), None)
-        if B is not None:
+        # A prefix too short to hold a window past B cannot certify H.
+        if n_sim >= B + check_window:
+            words, lefts, f0s, f1s = _simulate_prefix(params, n_sim)
             H = _find_H(params, seq, ac, B, words, lefts, f0s, check_window, n_sim)
             if H is not None:
                 return PredictorProfile(
@@ -343,19 +340,28 @@ def _fast_parts(n: int, params: GameParams, prof: PredictorProfile) -> tuple[Dig
     return left, k
 
 
-def final_counts(n: int, params: GameParams) -> tuple[int, int]:
-    """(f0, f1): origin and origout firing totals for the n-chip game."""
-    params.require_structured()
+def final_counts(n: int, params: GameParams) -> tuple[int | None, int | None]:
+    """(f0, f1): origin and origout firing totals for the n-chip game.
+
+    Follows the dispatch of final_state.  Counts carry over from the
+    gcd-reduced game; mirroring keeps the origin count but not the origout
+    one (None); for a == b the final state does not determine them (None).
+    """
+    if n < 0:
+        raise InvalidParams("chip count must be non-negative")
+    a, b = params.a, params.b
+    if a == b:
+        return None, None
+    d = params.d
+    if d > 1:
+        return final_counts(n // d, GameParams(a // d, b // d))
+    if a > b:
+        return final_counts(n, GameParams(b, a))[0], None
     prof = profile_for(params)
     if n <= prof.H:
         return prof.f0_table[n], prof.f1_table[n]
     _, k = _fast_parts(n, params, prof)
     return k, k - params.c
-
-
-def settlement_index_of(n: int, params: GameParams) -> int:
-    """Index k with final right part == xi_k (equals f0)."""
-    return final_counts(n, params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import threading
 
+from . import analysis
 from .engine import GameParams, oracle_states
 from .errors import CensusMismatch, InvalidParams, ScanExhausted
 from .words import DigitWord
 
 __all__ = [
-    "c_value",
     "triangular",
     "tetrahedral",
     "periodic_start",
@@ -50,11 +50,6 @@ def triangular(i: int) -> int:
 
 def tetrahedral(i: int) -> int:
     return i * (i + 1) * (i + 2) // 6
-
-
-def c_value(params: GameParams) -> int:
-    """ceil(a/(b-a)): the eventual origin-minus-origout firing surplus."""
-    return params.c
 
 
 def periodic_start(params: GameParams) -> int:
@@ -173,18 +168,6 @@ class SettlementSeq:
     def settlement(self, k: int) -> DigitWord:
         return DigitWord.fraction(self.word(k))
 
-    def index_of(self, word: tuple[int, ...], *, hint: int | None = None) -> int | None:
-        """Index k with xi_k == word, or None.  hint checks that index first."""
-        if hint is not None and self.word(hint) == word:
-            return hint
-        # Words of length L cannot appear past the cycle that reaches
-        # length L, so the scan is bounded.
-        limit = self.start + self.c * (len(word) + 2) + 1
-        for k in range(limit):
-            if self.word(k) == word:
-                return k
-        return None
-
 
 _SEQS: dict[tuple[int, int], SettlementSeq] = {}
 _SEQS_LOCK = threading.Lock()
@@ -245,9 +228,8 @@ def balanced_B(params: GameParams, scan_limit: int = 10000) -> int:
     last_dormant = highest_dormant_index(params)
     for n, state, log in oracle_states(params, scan_limit):
         f0 = log.fires.get(0, 0)
-        hi = max(state.chips, default=0)
-        right = tuple(state.count(v) for v in range(1, hi + 1)) if hi >= 1 else ()
-        if seq.word(f0) != right:
+        _, right = analysis.split(state)
+        if seq.word(f0) != right.fraction_digits():
             raise CensusMismatch(
                 f"final right part of n={n} is not xi_{f0} for ({params.a},{params.b})"
             )

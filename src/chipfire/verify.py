@@ -18,7 +18,6 @@ from .engine import (
     LEFTMOST,
     PARALLEL_ROUNDS,
     RIGHTMOST,
-    ChipState,
     FiringStrategy,
     GameParams,
     new_state,
@@ -47,7 +46,7 @@ from .settlements import (
     tetrahedral_highest_dormant_index,
     tetrahedral_periodic_start,
 )
-from .words import DigitWord, eval_base, word_to_string
+from .words import EMPTY_WORD, DigitWord, eval_base, word_to_string
 
 __all__ = [
     "SuiteReport",
@@ -100,13 +99,6 @@ class SuiteReport:
         out.extend(f"  FAIL {m}" for m in sorted(self.failures))
         out.extend(f"  NOTE {m}" for m in self.notes)
         return out
-
-
-def _chips_of_right(word: tuple[int, ...], params: GameParams, extra_b: bool) -> ChipState:
-    chips = {v: d for v, d in enumerate(word, start=1) if d}
-    if extra_b:
-        chips[1] = chips.get(1, 0) + params.b
-    return ChipState(params, chips)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +251,10 @@ def settlements_suite(
         # transition soundness vs. settle_right
         cur: tuple[int, ...] = ()
         for k in range(k_iter):
-            settled = settle_right(_chips_of_right(cur, p, extra_b=True))
-            hi = max((v for v in settled.chips if v >= 1), default=0)
-            engine_word = tuple(settled.count(v) for v in range(1, hi + 1))
+            # one origin firing puts b more chips on the origout
+            fired = DigitWord.fraction((cur[0] + b,) + cur[1:] if cur else (b,))
+            settled = settle_right(analysis.combine(EMPTY_WORD, fired, p))
+            engine_word = analysis.split(settled)[1].fraction_digits()
             lemma_word = settlement_next(DigitWord.fraction(cur), p).fraction_digits()
             rep.check(
                 lemma_word == engine_word and seq.word(k + 1) == engine_word,

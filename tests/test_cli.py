@@ -197,6 +197,25 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("bench", "-a", "2", "-b", "3", "--grid", "x"),
+    ("bench", "-a", "2", "-b", "3", "--grid", "100,1e3"),
+    ("verify", "predictor", "--params-grid", "x,y"),
+    ("verify", "invariants", "--params-grid", "2,3;1,"),
+])
+def test_malformed_numbers_exit_two(argv, capsys):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: bad integer ")
+
+
+@pytest.mark.parametrize("half", [("-a", "2"), ("-b", "3")])
+def test_verify_half_pair_exit_two(half, capsys):
+    code, out = run_cli("verify", "invariants", *half)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: verify needs both -a and -b, or neither\n"
+
+
 def test_subprocess_entry_point():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(

@@ -13,13 +13,15 @@ from chipfire import (
     fire,
     increment_origin,
     new_state,
+    oracle_states,
     settle_right,
     stabilize,
     stabilize_line,
     state_word,
     word_to_string,
 )
-from chipfire.errors import FireBelowThreshold, InvalidParams
+from chipfire.engine import _Buffer
+from chipfire.errors import FireBelowThreshold, InvalidParams, InvariantViolation
 
 
 def w(state):
@@ -126,6 +128,61 @@ def test_settle_right_never_fires_origin():
     out = settle_right(s)
     assert out.count(0) >= 50
     assert all(c < 3 for v, c in out.chips.items() if v >= 1)
+
+
+def settle_right_reference(state):
+    """Fire every firable vertex >= 1 with full multiplicity, on a dict."""
+    p = state.params
+    T, a, b = p.threshold, p.a, p.b
+    chips = dict(state.chips)
+    work = [v for v, c in chips.items() if v >= 1 and c >= T]
+    while work:
+        v = work.pop()
+        c = chips.get(v, 0)
+        if c < T:
+            continue
+        fired = c // T
+        chips[v] = c - fired * T
+        chips[v - 1] = chips.get(v - 1, 0) + a * fired
+        chips[v + 1] = chips.get(v + 1, 0) + b * fired
+        for u in (v - 1, v + 1):
+            if u >= 1 and chips.get(u, 0) >= T:
+                work.append(u)
+    return ChipState(p, chips)
+
+
+@given(
+    a=st.integers(min_value=1, max_value=5),
+    b=st.integers(min_value=1, max_value=6),
+    chips=st.dictionaries(
+        st.integers(min_value=-4, max_value=9),
+        st.integers(min_value=0, max_value=40),
+        max_size=8,
+    ),
+    origin=st.integers(min_value=0, max_value=60),
+)
+@settings(max_examples=200, deadline=None)
+def test_settle_right_matches_dict_reference(a, b, chips, origin):
+    """The scan with a frozen left floor equals full-multiplicity settling,
+    including when the origin itself holds a firable pile."""
+    chips[0] = origin
+    s = ChipState(GameParams(a, b), chips)
+    assert settle_right(s) == settle_right_reference(s)
+
+
+@pytest.mark.parametrize("a,b", [(2, 2), (4, 6), (3, 2), (2, 3), (1, 2)])
+def test_oracle_states_rows_match_stabilize(a, b):
+    p = GameParams(a, b)
+    for n, state, log in oracle_states(p, 150):
+        assert (state, log) == stabilize(new_state(n, p)), (a, b, n)
+
+
+def test_buffer_bound_check_is_not_an_assert():
+    p = GameParams(2, 3)
+    bb = _Buffer(new_state(9, p))
+    bb.lo = 0
+    with pytest.raises(InvariantViolation):
+        bb.to_state(p)
 
 
 ALL_STRATEGIES = [

@@ -198,6 +198,23 @@ def test_final_counts_match_logs():
             assert final_counts(n, p) == (log.fires.get(0, 0), log.fires.get(1, 0))
 
 
+def test_final_counts_every_dispatch_branch():
+    """gcd > 1 lifts both counts, mirroring keeps only f0, a == b gives none."""
+    for a, b in [(4, 6), (6, 9), (2, 4), (10, 15)]:
+        p = GameParams(a, b)
+        for n, _, log in oracle_states(p, 300):
+            assert final_counts(n, p) == (log.fires.get(0, 0), log.fires.get(1, 0))
+    for a, b in [(3, 2), (5, 3), (6, 4), (2, 1)]:
+        p = GameParams(a, b)
+        for n, _, log in oracle_states(p, 300):
+            assert final_counts(n, p) == (log.fires.get(0, 0), None)
+    for a in (1, 2, 3):
+        for n in range(60):
+            assert final_counts(n, GameParams(a, a)) == (None, None)
+    with pytest.raises(InvalidParams):
+        final_counts(-1, GameParams(2, 3))
+
+
 def test_compute_profile_rejects_unstructured():
     with pytest.raises(InvalidParams):
         compute_profile(GameParams(2, 2))

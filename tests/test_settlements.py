@@ -6,7 +6,6 @@ from chipfire import (
     ChipState,
     GameParams,
     balanced_B,
-    c_value,
     delta_strings,
     dormant_census,
     is_dormant,
@@ -39,14 +38,14 @@ def xi_str(k, params):
 
 
 def test_c_values():
-    assert c_value(GameParams(2, 3)) == 2
-    assert c_value(GameParams(3, 4)) == 3
-    assert c_value(GameParams(1, 2)) == 1
-    assert c_value(GameParams(5, 7)) == 3
+    assert GameParams(2, 3).c == 2
+    assert GameParams(3, 4).c == 3
+    assert GameParams(1, 2).c == 1
+    assert GameParams(5, 7).c == 3
     with pytest.raises(InvalidParams):
-        c_value(GameParams(2, 4))
+        GameParams(2, 4).c
     with pytest.raises(InvalidParams):
-        c_value(GameParams(3, 2))
+        GameParams(3, 2).c
 
 
 def test_two_three_settlement_list():
