@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .engine import ChipState, FiringLog, GameParams
 from .errors import DivisionByZero, EqualRates, InconsistentLog, NotDivisible
@@ -29,6 +30,7 @@ __all__ = [
     "recover_counts",
     "weighted_sum",
     "firings_from_M",
+    "firings_from_word",
 ]
 
 
@@ -189,10 +191,23 @@ def firings_from_M(state: ChipState) -> int:
     exponent space, where each firing adds a - b; the logged-oracle tests pin
     this sign down.)
     """
-    p = state.params
+    return _firings(weighted_sum(state), state.params)
+
+
+def firings_from_word(word: DigitWord, params: GameParams) -> int:
+    """firings_from_M of the state whose string is ``word``, read off the word.
+
+    Vertex m holds the digit at position -m, so M = sum(-p * d_p) over the
+    word's positions; no ChipState is built.
+    """
+    m = sum(map(mul, range(-word.hi, 1 - word.radix), word.digits))
+    return _firings(m, params)
+
+
+def _firings(m: int, p: GameParams) -> int:
+    """M / (b - a), refusing a = b and an M that b - a does not divide."""
     if p.a == p.b:
         raise EqualRates("firing count from M is undefined for a == b")
-    m = weighted_sum(state)
     q, r = divmod(m, p.b - p.a)
     if r:
         raise NotDivisible(f"M={m} is not a multiple of b-a={p.b - p.a}")

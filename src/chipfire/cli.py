@@ -14,6 +14,7 @@ comma-separated list form is printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import analysis
-from .engine import GameParams, new_state, stabilize, stabilize_line
+from .engine import FiringLog, GameParams, new_state, stabilize, stabilize_line
 from .errors import ChipFiringError, InvalidParams, ParseError
 from .predictor import final_counts, final_state, profile_for
 from .settlements import (
@@ -34,6 +35,7 @@ from .settlements import (
 from .verify import SUITES
 from .words import DigitWord, eval_base, string_to_word, to_base, word_to_string
 
+# The fields of one `final --json` record, in the order `_record` builds them.
 RECORD_FIELDS = (
     "a", "b", "n", "state", "left", "right", "settlement_index",
     "left_value_boa", "right_value_boa", "f0", "f1", "total_firings",
@@ -60,26 +62,22 @@ def _frac_text(x: Fraction) -> str:
     return str(x)
 
 
-def _record(n: int, params: GameParams, *, oracle: bool, fmt: str) -> dict:
-    if oracle:
-        state, log = stabilize(new_state(n, params))
-        word = analysis.state_word(state)
+def _record(n: int, params: GameParams, word: DigitWord, log: FiringLog | None) -> dict:
+    """The JSON record of one final state; ``log`` is the oracle's, if any."""
+    if log is not None:
         f0, f1, total = log.fires.get(0, 0), log.fires.get(1, 0), log.total
     else:
-        word = final_state(n, params)
         f0, f1 = final_counts(n, params)
-        total = None
+        total = None if params.a == params.b else analysis.firings_from_word(word, params)
     left = DigitWord(word.integer_digits(), 0)
     right = DigitWord.fraction(word.fraction_digits())
-    if total is None and params.a != params.b:
-        total = analysis.firings_from_M(analysis.combine(left, right, params))
     return {
         "a": params.a,
         "b": params.b,
         "n": n,
-        "state": _state_text(word, fmt),
-        "left": word_to_string(left, list_form=True if fmt == "list" else None),
-        "right": word_to_string(right, list_form=True if fmt == "list" else None),
+        "state": _state_text(word, "json"),
+        "left": word_to_string(left),
+        "right": word_to_string(right),
         "settlement_index": f0 if params.is_structured() else None,
         "left_value_boa": _frac_text(eval_base(left, params)),
         "right_value_boa": _frac_text(eval_base(right, params)),
@@ -87,13 +85,6 @@ def _record(n: int, params: GameParams, *, oracle: bool, fmt: str) -> dict:
         "f1": f1,
         "total_firings": total,
     }
-
-
-def _emit_record(rec: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        print(json.dumps({k: rec[k] for k in RECORD_FIELDS}), file=out)
-    else:
-        print(rec["state"], file=out)
 
 
 def cmd_final(args, out) -> int:
@@ -109,7 +100,15 @@ def cmd_final(args, out) -> int:
             raise InvalidParams("final needs N or --range")
         ns = [args.n]
     for n in ns:
-        _emit_record(_record(n, params, oracle=args.oracle, fmt=fmt), fmt, out)
+        if args.oracle:
+            state, log = stabilize(new_state(n, params))
+            word = analysis.state_word(state)
+        else:
+            word, log = final_state(n, params), None
+        if fmt == "json":
+            print(json.dumps(_record(n, params, word, log)), file=out)
+        else:
+            print(_state_text(word, fmt), file=out)
     return 0
 
 
@@ -207,32 +206,54 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+# The keyword options each suite takes, under the flags that set them.
+# `verify all` passes each suite the options it takes; a single suite refuses
+# the others.  --workers is accepted by every suite and used by confluence.
+_SUITE_OPTIONS = {
+    "confluence": ("max_n", "pairs", "seeds", "check_every"),
+    "invariants": ("max_n", "pairs"),
+    "settlements": ("pairs",),
+    "predictor": ("max_n", "pairs"),
+    "one-b": ("max_n",),
+}
+_OPTION_FLAGS = {
+    "max_n": "--max-n",
+    "pairs": "--params-grid or -a/-b",
+    "seeds": "--seed",
+    "check_every": "--check-every",
+}
+
+
 def cmd_verify(args, out) -> int:
     pairs = _parse_grid(args.params_grid) if args.params_grid else None
     if (args.a is None) != (args.b is None):
         raise InvalidParams("verify needs both -a and -b, or neither")
     if args.a is not None:
+        if pairs is not None:
+            raise InvalidParams("verify takes -a/-b or --params-grid, not both")
         pairs = [(args.a, args.b)]
-    suite = args.suite
-    per_suite_kwargs: dict[str, dict] = {name: {} for name in SUITES}
-    if args.max_n is not None:
-        for name in ("confluence", "invariants", "predictor", "one-b"):
-            per_suite_kwargs[name]["max_n"] = args.max_n
-    if pairs is not None:
-        for name in ("confluence", "invariants", "settlements", "predictor"):
-            per_suite_kwargs[name]["pairs"] = pairs
-    if args.seed is not None:
-        per_suite_kwargs["confluence"]["seeds"] = (
-            args.seed, args.seed + 1, args.seed + 2,
+    seeds = None if args.seed is None else (args.seed, args.seed + 1, args.seed + 2)
+    given = {
+        key: value
+        for key, value in (
+            ("max_n", args.max_n),
+            ("pairs", pairs),
+            ("seeds", seeds),
+            ("check_every", args.check_every),
         )
-    if args.check_every is not None:
-        per_suite_kwargs["confluence"]["check_every"] = args.check_every
-    if args.workers is not None:
-        per_suite_kwargs["confluence"]["workers"] = args.workers
-    if suite == "all":
-        reports = [SUITES[name](**per_suite_kwargs[name]) for name in SUITES]
-    else:
-        reports = [SUITES[suite](**per_suite_kwargs[suite])]
+        if value is not None
+    }
+    suite = args.suite
+    if suite != "all":
+        ignored = [_OPTION_FLAGS[key] for key in given if key not in _SUITE_OPTIONS[suite]]
+        if ignored:
+            raise InvalidParams(f"verify {suite} does not take {', '.join(ignored)}")
+    reports = []
+    for name in SUITES if suite == "all" else [suite]:
+        kwargs = {key: value for key, value in given.items() if key in _SUITE_OPTIONS[name]}
+        if name == "confluence" and args.workers is not None:
+            kwargs["workers"] = args.workers
+        reports.append(SUITES[name](**kwargs))
     ok = True
     for rep in reports:
         for line in rep.lines():
@@ -329,10 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; each parse_args still makes a fresh
+    Namespace, so no option leaks from one call into the next."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args, out)
     except (InvalidParams, ParseError) as exc:

@@ -130,11 +130,14 @@ def eval_base(w: DigitWord, params: GameParams) -> Fraction:
         return Fraction(0)
     a, b = params.a, params.b
     # num = sum over positions of d_p * b^(p-radix) * a^(hi-p), an integer;
-    # the true value is then num * b^radix / a^hi.
+    # the true value is then num * b^radix / a^hi.  One Horner pass from the
+    # most significant digit: each later digit multiplies num by b once and
+    # carries one more factor of a.
     num = 0
-    k = len(w.digits)
-    for i, d in enumerate(w.digits):
-        num += d * b ** (k - 1 - i) * a**i
+    apow = 1
+    for d in w.digits:
+        num = num * b + d * apow
+        apow *= a
     val = Fraction(num)
     if w.radix >= 0:
         val *= b**w.radix
@@ -210,25 +213,21 @@ def word_to_string(
     (numeral style); "always" prints it after the position-0 digit even for
     integer words (state style, as in "24.").
     """
-    if list_form is None:
-        list_form = any(d > 9 for d in w.digits)
-    elif not list_form and any(d > 9 for d in w.digits):
-        raise ParseError("compact form cannot express digits above 9")
-    int_part = list(w.integer_digits()) if not w.is_empty() else []
-    frac_part = list(w.fraction_digits())
-    want_dot = bool(frac_part) or radix_mark == "always" or not int_part
+    head = list(map(str, w.integer_digits()))
+    tail = list(map(str, w.fraction_digits()))
+    want_dot = bool(tail) or radix_mark == "always" or not head
     if not list_form:
-        head = "".join(str(d) for d in int_part)
-        tail = "".join(str(d) for d in frac_part)
-        return head + "." + tail if want_dot else head
-    head = ",".join(str(d) for d in int_part)
-    tail = ",".join(str(d) for d in frac_part)
-    out = head + "." + tail if want_dot else head
+        compact_head, compact_tail = "".join(head), "".join(tail)
+        # Every digit is one character exactly when none is above 9.
+        if len(compact_head) + len(compact_tail) == len(head) + len(tail):
+            return compact_head + "." + compact_tail if want_dot else compact_head
+        if list_form is False:
+            raise ParseError("compact form cannot express digits above 9")
+    out = ",".join(head) + "." + ",".join(tail) if want_dot else ",".join(head)
     if "," not in out:
         # A comma-less rendering would read back as compact digits; emit the
         # radix dot as its own comma-separated token instead ("14,.", ".,10").
-        tokens = [str(d) for d in int_part] + ["."] + [str(d) for d in frac_part]
-        out = ",".join(tokens)
+        out = ",".join(head + ["."] + tail)
     return out
 
 

@@ -146,11 +146,15 @@ def test_verify_invariants_scoped():
 
 def test_verify_one_b_fails_with_counterexample():
     """The valuation-sum clause is genuinely false from n=12 (b=2) on; the
-    suite must fail and print the minimal counterexample."""
+    suite reports the minimal counterexample as a note and passes on the
+    true count f0(n) - 1."""
     code, out = run_cli("verify", "one-b", "--max-n", "40")
-    assert code == 1
-    assert "b=2 n=12: digit-(b-1) count is 6, valuation sum gives 7" in out
-    assert "verify: FAIL" in out
+    assert code == 0
+    assert "suite one-b:" in out and " 0 failures" in out
+    (note,) = [line for line in out.splitlines() if "valuation sum" in line]
+    assert note.startswith("  NOTE ")
+    assert "b=2 n=12: digit-(b-1) count is 6, valuation sum gives 7" in note
+    assert "verify: PASS" in out
 
 
 def test_verify_predictor_scoped():
@@ -214,6 +218,95 @@ def test_verify_half_pair_exit_two(half, capsys):
     code, out = run_cli("verify", "invariants", *half)
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "error: verify needs both -a and -b, or neither\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "predictor", "--params-grid", "2,3", "-a", "2", "-b", "3"),
+     "verify takes -a/-b or --params-grid, not both"),
+    (("verify", "settlements", "--max-n", "1"),
+     "verify settlements does not take --max-n"),
+    (("verify", "invariants", "--seed", "4"),
+     "verify invariants does not take --seed"),
+    (("verify", "predictor", "--check-every", "8"),
+     "verify predictor does not take --check-every"),
+    (("verify", "one-b", "--seed", "4", "--check-every", "8"),
+     "verify one-b does not take --seed, --check-every"),
+])
+def test_verify_refuses_ignored_options(argv, message, capsys):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_accepts_workers_and_suite_options():
+    code, out = run_cli(
+        "verify", "predictor", "--params-grid", "2,3", "--max-n", "40", "--workers", "1"
+    )
+    assert code == 0 and out.endswith("verify: PASS\n")
+    code, out = run_cli(
+        "verify", "confluence", "-a", "1", "-b", "2", "--max-n", "30",
+        "--seed", "4", "--check-every", "8", "--workers", "1",
+    )
+    assert code == 0 and out.endswith("verify: PASS\n")
+
+
+def test_successive_main_calls_do_not_leak_options():
+    code, out = run_cli("final", "5", "-a", "1", "-b", "2", "--json")
+    assert code == 0 and json.loads(out)["state"] == "12.2"
+    code, out = run_cli("final", "5", "-a", "1", "-b", "2")
+    assert code == 0 and out == "12.2\n"
+    code, out = run_cli("final", "-a", "2", "-b", "3", "--range", "0", "1", "--format", "list")
+    assert code == 0 and out == "0,.\n1,.\n"
+    code, out = run_cli("final", "21", "-a", "2", "-b", "3")
+    assert code == 0 and out == "442.2243\n"
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("text output must not build the JSON record")
+
+
+@pytest.mark.parametrize("argv", [
+    ("final", "30000", "-a", "2", "-b", "3"),
+    ("final", "-a", "4", "-b", "6", "--range", "0", "50", "--format", "list"),
+    ("final", "200", "-a", "2", "-b", "3", "--oracle"),
+])
+def test_text_output_skips_record(argv, monkeypatch):
+    code, expected = run_cli(*argv)
+    import chipfire.analysis
+    import chipfire.cli
+
+    monkeypatch.setattr(chipfire.cli, "eval_base", _raise)
+    monkeypatch.setattr(chipfire.cli, "final_counts", _raise)
+    monkeypatch.setattr(chipfire.analysis, "firings_from_M", _raise)
+    monkeypatch.setattr(chipfire.analysis, "firings_from_word", _raise)
+    monkeypatch.setattr(chipfire.analysis, "combine", _raise)
+    assert run_cli(*argv) == (code, expected)
+    assert code == 0 and expected.count("\n") == (51 if "--range" in argv else 1)
+
+
+# One pair per dispatch branch: a = b, gcd > 1, mirror (a > b), coprime a < b.
+BRANCH_PAIRS = [(2, 2), (3, 3), (4, 6), (2, 4), (3, 2), (5, 3), (1, 2), (2, 3), (5, 7)]
+
+
+@pytest.mark.parametrize("a, b", BRANCH_PAIRS)
+def test_text_state_equals_json_state(a, b):
+    from chipfire import GameParams, new_state, stabilize, string_to_word
+
+    p = GameParams(a, b)
+    for oracle in ((), ("--oracle",)):
+        base = ("final", "-a", str(a), "-b", str(b), "--range", "0", "60", *oracle)
+        _, compact = run_cli(*base)
+        _, listed = run_cli(*base, "--format", "list")
+        _, records = run_cli(*base, "--json")
+        recs = [json.loads(line) for line in records.splitlines()]
+        assert compact.splitlines() == [rec["state"] for rec in recs]
+        assert [string_to_word(line) for line in listed.splitlines()] == [
+            string_to_word(rec["state"]) for rec in recs
+        ]
+        for rec in recs:
+            _, log = stabilize(new_state(rec["n"], p))
+            expected = None if a == b and not oracle else log.total
+            assert rec["total_firings"] == expected, (a, b, rec["n"], oracle)
 
 
 def test_subprocess_entry_point():

@@ -186,3 +186,96 @@ def test_string_round_trip_property(ints, fracs):
         w = DigitWord(tuple(ints) + tuple(fracs), -len(fracs))
     for list_form in (None, True):
         assert string_to_word(word_to_string(w, list_form=list_form)) == w
+
+
+# --- reference implementations kept from the earlier code -------------------
+
+
+def _eval_base_power_sum(w, params):
+    """The earlier eval_base: b**(k-1-i) * a**i recomputed for every digit."""
+    if w.is_empty():
+        return Fraction(0)
+    a, b = params.a, params.b
+    num = 0
+    k = len(w.digits)
+    for i, d in enumerate(w.digits):
+        num += d * b ** (k - 1 - i) * a**i
+    val = Fraction(num)
+    if w.radix >= 0:
+        val *= b**w.radix
+    else:
+        val /= b ** (-w.radix)
+    if w.hi >= 0:
+        val /= a**w.hi
+    else:
+        val *= a ** (-w.hi)
+    return val
+
+
+def _word_to_string_three_pass(w, *, list_form=None, radix_mark="auto"):
+    """The earlier word_to_string: a digit scan, part copies, str per digit."""
+    if list_form is None:
+        list_form = any(d > 9 for d in w.digits)
+    elif not list_form and any(d > 9 for d in w.digits):
+        raise ParseError("compact form cannot express digits above 9")
+    int_part = list(w.integer_digits()) if not w.is_empty() else []
+    frac_part = list(w.fraction_digits())
+    want_dot = bool(frac_part) or radix_mark == "always" or not int_part
+    if not list_form:
+        head = "".join(str(d) for d in int_part)
+        tail = "".join(str(d) for d in frac_part)
+        return head + "." + tail if want_dot else head
+    head = ",".join(str(d) for d in int_part)
+    tail = ",".join(str(d) for d in frac_part)
+    out = head + "." + tail if want_dot else head
+    if "," not in out:
+        tokens = [str(d) for d in int_part] + ["."] + [str(d) for d in frac_part]
+        out = ",".join(tokens)
+    return out
+
+
+# Words anywhere on the line: radix above, at and below zero, hi below zero
+# (a gap of zeros after the radix point), the empty word, digits above 9.
+words_anywhere = st.one_of(
+    st.just(EMPTY_WORD),
+    st.builds(
+        DigitWord,
+        st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=30).map(tuple),
+        st.integers(min_value=-40, max_value=12),
+    ),
+)
+
+
+@given(
+    w=words_anywhere,
+    pair=st.sampled_from([(1, 2), (2, 3), (3, 4), (5, 7), (3, 2), (4, 6), (2, 2)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_eval_base_matches_power_sum(w, pair):
+    p = GameParams(*pair)
+    assert eval_base(w, p) == _eval_base_power_sum(w, p)
+
+
+def test_eval_base_matches_power_sum_on_long_words():
+    p = GameParams(2, 3)
+    for n in (10**3, 10**5):
+        w = to_base(n, p)
+        assert eval_base(w, p) == _eval_base_power_sum(w, p) == n
+    w = DigitWord((4, 3) * 200, -390)
+    assert eval_base(w, p) == _eval_base_power_sum(w, p)
+
+
+@given(
+    w=words_anywhere,
+    list_form=st.sampled_from([None, True, False]),
+    radix_mark=st.sampled_from(["auto", "always"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_word_to_string_matches_three_pass_reference(w, list_form, radix_mark):
+    try:
+        expected = _word_to_string_three_pass(w, list_form=list_form, radix_mark=radix_mark)
+    except ParseError:
+        with pytest.raises(ParseError):
+            word_to_string(w, list_form=list_form, radix_mark=radix_mark)
+        return
+    assert word_to_string(w, list_form=list_form, radix_mark=radix_mark) == expected
