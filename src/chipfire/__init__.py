@@ -18,6 +18,7 @@ from .engine import (
     fire,
     increment_origin,
     new_state,
+    oracle_rows,
     oracle_states,
     settle_right,
     stabilize,

@@ -33,7 +33,14 @@ from .settlements import (
     tetrahedral_periodic_start,
 )
 from .verify import SUITES
-from .words import DigitWord, eval_base, string_to_word, to_base, word_to_string
+from .words import (
+    DigitWord,
+    eval_base,
+    render_digits,
+    string_to_word,
+    to_base,
+    word_to_string,
+)
 
 # The fields of one `final --json` record, in the order `_record` builds them.
 RECORD_FIELDS = (
@@ -71,13 +78,17 @@ def _record(n: int, params: GameParams, word: DigitWord, log: FiringLog | None) 
         total = None if params.a == params.b else analysis.firings_from_word(word, params)
     left = DigitWord(word.integer_digits(), 0)
     right = DigitWord.fraction(word.fraction_digits())
+    # Each digit becomes text once; the state, left and right strings are
+    # assembled from the same pieces, exactly as word_to_string renders them.
+    head = list(map(str, left.digits))
+    tail = list(map(str, right.digits))
     return {
         "a": params.a,
         "b": params.b,
         "n": n,
-        "state": _state_text(word, "json"),
-        "left": word_to_string(left),
-        "right": word_to_string(right),
+        "state": render_digits(head, tail, True),
+        "left": render_digits(head, [], not head),
+        "right": render_digits([], tail, True),
         "settlement_index": f0 if params.is_structured() else None,
         "left_value_boa": _frac_text(eval_base(left, params)),
         "right_value_boa": _frac_text(eval_base(right, params)),

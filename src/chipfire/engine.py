@@ -36,6 +36,7 @@ __all__ = [
     "settle_right",
     "increment_origin",
     "oracle_states",
+    "oracle_rows",
     "stabilize_line",
 ]
 
@@ -211,9 +212,12 @@ class _Buffer:
         self.hi = hi0 + self.off
         self.total = 0
 
-    def to_state(self, params: GameParams) -> ChipState:
+    def check_bound(self) -> None:
         if not (1 <= self.lo and self.hi <= len(self.buf) - 2):
             raise InvariantViolation("support escaped the [lo-n, hi+n] bound")
+
+    def to_state(self, params: GameParams) -> ChipState:
+        self.check_bound()
         buf, off = self.buf, self.off
         chips = {i - off: buf[i] for i in range(self.lo, self.hi + 1) if buf[i]}
         return ChipState(params, chips)
@@ -462,14 +466,16 @@ def increment_origin(state: ChipState) -> ChipState:
     return out
 
 
-def oracle_states(params: GameParams, n_max: int):
-    """Yield (n, ChipState, FiringLog) for n = 0..n_max.
+def _increments(params: GameParams, n_max: int):
+    """Yield (n, buffer) for n = 0..n_max, adding one chip at the origin and
+    re-stabilizing between steps.
 
-    States are produced incrementally (each from the previous by one added
-    chip plus re-stabilization), so a whole table costs about as much as the
-    single largest game.  The log is exact for each n-chip game started from
-    scratch: firing counts are schedule-independent, and stabilizing after
-    each added chip is one particular schedule for the n-chip game.
+    The one buffer is mutated in place, so a consumer reads what it needs
+    before asking for the next step.  A whole table costs about as much as the
+    single largest game.  The buffer's firing counts are exact for each n-chip
+    game started from scratch: firing counts are schedule-independent, and
+    stabilizing after each added chip is one particular schedule for the n-chip
+    game.
     """
     T, a, b = params.threshold, params.a, params.b
     # Sized for the n_max-chip game; its chips arrive one at a time.
@@ -483,7 +489,31 @@ def oracle_states(params: GameParams, n_max: int):
             buf[off] += 1
             if buf[off] >= T:
                 _scan(bb, T, a, b, off, 1, 0, None)
+        yield n, bb
+
+
+def oracle_states(params: GameParams, n_max: int):
+    """Yield (n, ChipState, FiringLog) for n = 0..n_max, incrementally."""
+    for n, bb in _increments(params, n_max):
         yield n, bb.to_state(params), bb.log()
+
+
+def oracle_rows(params: GameParams, n_max: int):
+    """Yield (n, left, right, f0, f1) for n = 0..n_max, incrementally.
+
+    The rows of oracle_states read straight off the chip buffer: ``left`` is
+    the digit tuple of vertices lo..0 and ``right`` that of vertices 1..hi
+    (empty when nothing sits right of the origin), as in ``analysis.split``;
+    f0 and f1 are the origin and origout firing counts.
+    """
+    for n, bb in _increments(params, n_max):
+        bb.check_bound()
+        # No trimming needed: the outermost vertex on either side only loses
+        # chips by firing, which occupies a vertex further out.
+        buf, off = bb.buf, bb.off
+        left = tuple(buf[bb.lo : off + 1])
+        right = tuple(buf[off + 1 : bb.hi + 1])
+        yield n, left, right, bb.fcount[off], bb.fcount[off + 1]
 
 
 def stabilize_line(n: int, params: GameParams) -> tuple[ChipState, FiringLog]:

@@ -10,21 +10,25 @@ structure theory takes over:
   * the right part is the settlement whose index the side-value identities
     force: k = (n - leftsum - a*c) / (b - a).
 
-H is not taken on faith from the existence theorem: compute_profile finds the
-first n >= B where every left digit is at least a, then certifies it by
-replaying a window of increments against the oracle (left transition =
-elevated-game increment, right index advance = explosion count, closed-form
-left = simulated left).  A profile is immutable once computed; distinct
-parameter pairs can be profiled concurrently.
+H is not taken on faith from the existence theorem: compute_profile certifies
+it against the oracle in one incremental pass (engine.oracle_rows, rows read
+straight off the chip buffer).  The pass finds B, then checks each increment
+as its row arrives (left transition = elevated-game increment, right index
+advance = explosion count, closed-form left = simulated left, right part =
+settlement word) and stops at the first n >= B where every left digit is at
+least a and a whole window of increments has passed: row H + window.  A
+profile is immutable once computed; distinct parameter pairs can be profiled
+concurrently.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import chain
 
-from . import analysis
-from .engine import GameParams, oracle_states
+# oracle_states stays importable here because span tracers patch it by module.
+from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import InvalidParams, NotRegular, WindowFailure
 from .settlements import balanced_B, seq_for
 from .words import DigitWord, EMPTY_WORD
@@ -200,21 +204,6 @@ _PROFILES: dict[tuple[int, int], PredictorProfile] = {}
 _PROFILES_LOCK = threading.Lock()
 
 
-def _simulate_prefix(params: GameParams, n_max: int):
-    """Final-state words, left digit tuples and f0/f1 counters for n <= n_max."""
-    words: list[DigitWord] = []
-    lefts: list[tuple[int, ...]] = []
-    f0s: list[int] = []
-    f1s: list[int] = []
-    for n, state, log in oracle_states(params, n_max):
-        word = analysis.state_word(state)
-        words.append(word)
-        lefts.append(word.integer_digits())
-        f0s.append(log.fires.get(0, 0))
-        f1s.append(log.fires.get(1, 0))
-    return words, lefts, f0s, f1s
-
-
 def compute_profile(
     params: GameParams,
     check_window: int = 50,
@@ -222,71 +211,72 @@ def compute_profile(
 ) -> PredictorProfile:
     """Find and certify the fast-path threshold H for a coprime pair a < b.
 
-    H is the smallest n >= B such that every left digit is >= a and, for
-    ``check_window`` consecutive increments, the fast transition (elevated
-    left increment plus explosion-count index advance) and the closed-form
-    left word both reproduce the simulation exactly.  B comes from
-    balanced_B, which also checks every right part up to B against the
-    settlement sequence.  Raises WindowFailure when no H certifies below
-    scan_limit.
+    H is the smallest n >= B, up to scan_limit, such that every left digit is
+    >= a and, for ``check_window`` consecutive increments, the fast transition
+    (elevated left increment plus explosion-count index advance), the
+    closed-form left word and the settlement word all reproduce the oracle
+    exactly.  One oracle_rows pass serves both searches and stops at row
+    H + check_window: balanced_B reads it up to B, checking every right part
+    on the way, and each later row then completes one step of the window.
+    Raises ScanExhausted when there is no B up to scan_limit and WindowFailure
+    when no H certifies up to scan_limit.
     """
     params.require_structured()
     seq = seq_for(params)
-    ac = params.a * params.c
-    B = balanced_B(params, scan_limit)
+    a, ac = params.a, params.a * params.c
+    seen: list[tuple] = []     # every row read so far; seen[n] is row n
 
-    n_sim = 256
-    while True:
-        n_sim = min(n_sim, scan_limit + check_window)
-        # A prefix too short to hold a window past B cannot certify H.
-        if n_sim >= B + check_window:
-            words, lefts, f0s, f1s = _simulate_prefix(params, n_sim)
-            H = _find_H(params, seq, ac, B, words, lefts, f0s, check_window, n_sim)
-            if H is not None:
-                return PredictorProfile(
-                    params=params,
-                    B=B,
-                    H=H,
-                    anchor_state=words[H],
-                    anchor_left=DigitWord(lefts[H], 0),
-                    anchor_index=f0s[H],
-                    verified_window=check_window,
-                    table=tuple(words[: H + 1]),
-                    f0_table=tuple(f0s[: H + 1]),
-                    f1_table=tuple(f1s[: H + 1]),
-                )
-        if n_sim >= scan_limit + check_window:
-            raise WindowFailure(
-                f"no certified H below {scan_limit} for ({params.a},{params.b})"
+    def recorded():
+        for row in oracle_rows(params, scan_limit + check_window):
+            seen.append(row)
+            yield row
+
+    rows = recorded()
+    B = balanced_B(params, scan_limit, rows)
+    # B >= 1, since no origin firing happens at n = 0; and a run starting past
+    # scan_limit cannot complete before the rows end.
+    start = None               # first n of the current run of certified steps
+    for n, left, *_ in chain((seen[B],), rows):
+        if start is not None and not _step_ok(seen[n - 1], seen[n], params, seq, ac):
+            start = None
+        if start is None and min(left) >= a:
+            start = n
+        if start is not None and n - start == check_window:
+            H = start
+            prefix = seen[: H + 1]
+            table = tuple(DigitWord(lt + rt, -len(rt)) for _, lt, rt, _, _ in prefix)
+            return PredictorProfile(
+                params=params,
+                B=B,
+                H=H,
+                anchor_state=table[H],
+                anchor_left=DigitWord(seen[H][1], 0),
+                anchor_index=seen[H][3],
+                verified_window=check_window,
+                table=table,
+                f0_table=tuple(row[3] for row in prefix),
+                f1_table=tuple(row[4] for row in prefix),
             )
-        n_sim *= 4
+    raise WindowFailure(
+        f"no certified H below {scan_limit} for ({params.a},{params.b})"
+    )
 
 
-def _find_H(params, seq, ac, B, words, lefts, f0s, check_window, n_sim):
-    for h in range(max(B, 1), n_sim - check_window + 1):
-        if any(d < params.a for d in lefts[h]):
-            continue
-        ok = True
-        for n in range(h, h + check_window):
-            lw = DigitWord(lefts[n], 0)
-            try:
-                nxt, explosions = elevated_increment(lw, params)
-            except NotRegular:
-                ok = False
-                break
-            closed = left_regular_word(n - ac, params)
-            if (
-                nxt.digits != lefts[n + 1]
-                or f0s[n] + explosions != f0s[n + 1]
-                or closed is None
-                or closed.digits != lefts[n]
-                or seq.word(f0s[n]) != words[n].fraction_digits()
-            ):
-                ok = False
-                break
-        if ok:
-            return h
-    return None
+def _step_ok(row: tuple, nxt: tuple, params: GameParams, seq, ac: int) -> bool:
+    """Whether the fast path reproduces the oracle's step from row n to row n + 1."""
+    n, left, right, f0, _ = row
+    try:
+        inc, explosions = elevated_increment(DigitWord(left, 0), params)
+    except NotRegular:
+        return False
+    closed = left_regular_word(n - ac, params)
+    return (
+        inc.digits == nxt[1]
+        and f0 + explosions == nxt[3]
+        and closed is not None
+        and closed.digits == left
+        and seq.word(f0) == right
+    )
 
 
 def profile_for(params: GameParams, check_window: int = 50) -> PredictorProfile:

@@ -19,9 +19,10 @@ against the iterated sequence.
 from __future__ import annotations
 
 import threading
+from itertools import islice
 
-from . import analysis
-from .engine import GameParams, oracle_states
+# oracle_states stays importable here because span tracers patch it by module.
+from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import CensusMismatch, InvalidParams, ScanExhausted
 from .words import DigitWord
 
@@ -214,7 +215,7 @@ def dormant_census(params: GameParams) -> tuple[int, int]:
     return count, highest
 
 
-def balanced_B(params: GameParams, scan_limit: int = 10000) -> int:
+def balanced_B(params: GameParams, scan_limit: int = 10000, rows=None) -> int:
     """Smallest n whose final right part sits beyond the last dormant index.
 
     From B on, every origin firing is answered by an origout firing, the
@@ -222,14 +223,18 @@ def balanced_B(params: GameParams, scan_limit: int = 10000) -> int:
     b/a.  Found by simulation: the settlement index of the final right part
     is exactly the origin's firing count, checked against the cached
     sequence as we go.
+
+    ``rows`` is an oracle_rows pass from n = 0 to read (a fresh one by
+    default).  It is read up to row B and no further, so a caller can go on
+    reading the same pass.
     """
     params.require_structured()
     seq = seq_for(params)
     last_dormant = highest_dormant_index(params)
-    for n, state, log in oracle_states(params, scan_limit):
-        f0 = log.fires.get(0, 0)
-        _, right = analysis.split(state)
-        if seq.word(f0) != right.fraction_digits():
+    if rows is None:
+        rows = oracle_rows(params, scan_limit)
+    for n, _, right, f0, _ in islice(rows, scan_limit + 1):
+        if seq.word(f0) != right:
             raise CensusMismatch(
                 f"final right part of n={n} is not xi_{f0} for ({params.a},{params.b})"
             )

@@ -24,6 +24,7 @@ __all__ = [
     "explode_once",
     "explode_normalize",
     "word_to_string",
+    "render_digits",
     "string_to_word",
 ]
 
@@ -41,7 +42,7 @@ class DigitWord:
     radix: int = 0
 
     def __post_init__(self) -> None:
-        if any(d < 0 for d in self.digits):
+        if min(self.digits, default=0) < 0:
             raise ValueError("digits must be non-negative")
 
     @classmethod
@@ -216,6 +217,16 @@ def word_to_string(
     head = list(map(str, w.integer_digits()))
     tail = list(map(str, w.fraction_digits()))
     want_dot = bool(tail) or radix_mark == "always" or not head
+    return render_digits(head, tail, want_dot, list_form)
+
+
+def render_digits(head: list[str], tail: list[str], want_dot: bool,
+                  list_form: bool | None = None) -> str:
+    """The text of a word whose digits, already rendered, are ``head`` before
+    the radix point and ``tail`` after it; ``want_dot`` prints the point.
+
+    Compact form when every digit is one character and list_form allows it.
+    """
     if not list_form:
         compact_head, compact_tail = "".join(head), "".join(tail)
         # Every digit is one character exactly when none is above 9.

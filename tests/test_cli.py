@@ -309,6 +309,112 @@ def test_text_state_equals_json_state(a, b):
             assert rec["total_firings"] == expected, (a, b, rec["n"], oracle)
 
 
+def _record_three_calls(n, params, word, log):
+    """Reference: the JSON record as built by rendering the state, then its
+    left and right parts, each with its own word_to_string call."""
+    from chipfire import DigitWord, eval_base, word_to_string
+    from chipfire.analysis import firings_from_word
+    from chipfire.predictor import final_counts
+
+    if log is not None:
+        f0, f1, total = log.fires.get(0, 0), log.fires.get(1, 0), log.total
+    else:
+        f0, f1 = final_counts(n, params)
+        total = None if params.a == params.b else firings_from_word(word, params)
+    left = DigitWord(word.integer_digits(), 0)
+    right = DigitWord.fraction(word.fraction_digits())
+    return {
+        "a": params.a,
+        "b": params.b,
+        "n": n,
+        "state": word_to_string(word, radix_mark="always"),
+        "left": word_to_string(left),
+        "right": word_to_string(right),
+        "settlement_index": f0 if params.is_structured() else None,
+        "left_value_boa": str(eval_base(left, params)),
+        "right_value_boa": str(eval_base(right, params)),
+        "f0": f0,
+        "f1": f1,
+        "total_firings": total,
+    }
+
+
+@pytest.mark.parametrize(
+    "a,b", [(20, 21), (3, 8), (1, 10), (9, 10), (2, 3), (4, 6), (3, 2), (2, 2)]
+)
+def test_record_renders_like_three_calls(a, b):
+    """One digit-to-text pass gives the same records, byte for byte, list-form
+    fallbacks and lone-dot forms ("14,.", ".,10") included."""
+    from chipfire import GameParams, final_state, oracle_states, state_word
+
+    p = GameParams(a, b)
+    rows = list(oracle_states(p, 300))
+    for oracle in ((), ("--oracle",)):
+        code, out = run_cli("final", "-a", str(a), "-b", str(b), "--range", "0", "300",
+                            "--json", *oracle)
+        want = [
+            _record_three_calls(n, p, state_word(state), log) if oracle
+            else _record_three_calls(n, p, final_state(n, p), None)
+            for n, state, log in rows
+        ]
+        assert code == 0
+        assert out.splitlines() == [json.dumps(rec) for rec in want], (a, b, oracle)
+
+
+def test_record_lone_dot_forms():
+    from chipfire import DigitWord, GameParams
+    from chipfire.cli import _record
+
+    rec = _record(0, GameParams(20, 21), DigitWord((14, 10), -1), None)
+    assert (rec["state"], rec["left"], rec["right"]) == ("14,.,10", "14,.", ".,10")
+    rec = _record(0, GameParams(20, 21), DigitWord((14, 3, 2), -2), None)
+    assert (rec["state"], rec["left"], rec["right"]) == ("14.3,2", "14,.", ".32")
+
+
+PROFILE_20_21_DELTAS = [
+    "40,39,38,37,36,35,34,33,32,31,30,29,28,27,26,25,24,23,22,21",
+    "40,39,38,37,36,35,34,33,32,31,30,29,28,27,26,25,24,23,22,1,21",
+    "40,39,38,37,36,35,34,33,32,31,30,29,28,27,26,25,24,23,2,22,21",
+    "40,39,38,37,36,35,34,33,32,31,30,29,28,27,26,25,24,3,23,22,21",
+    "40,39,38,37,36,35,34,33,32,31,30,29,28,27,26,25,4,24,23,22,21",
+    "40,39,38,37,36,35,34,33,32,31,30,29,28,27,26,5,25,24,23,22,21",
+    "40,39,38,37,36,35,34,33,32,31,30,29,28,27,6,26,25,24,23,22,21",
+    "40,39,38,37,36,35,34,33,32,31,30,29,28,7,27,26,25,24,23,22,21",
+    "40,39,38,37,36,35,34,33,32,31,30,29,8,28,27,26,25,24,23,22,21",
+    "40,39,38,37,36,35,34,33,32,31,30,9,29,28,27,26,25,24,23,22,21",
+    "40,39,38,37,36,35,34,33,32,31,10,30,29,28,27,26,25,24,23,22,21",
+    "40,39,38,37,36,35,34,33,32,11,31,30,29,28,27,26,25,24,23,22,21",
+    "40,39,38,37,36,35,34,33,12,32,31,30,29,28,27,26,25,24,23,22,21",
+    "40,39,38,37,36,35,34,13,33,32,31,30,29,28,27,26,25,24,23,22,21",
+    "40,39,38,37,36,35,14,34,33,32,31,30,29,28,27,26,25,24,23,22,21",
+    "40,39,38,37,36,15,35,34,33,32,31,30,29,28,27,26,25,24,23,22,21",
+    "40,39,38,37,16,36,35,34,33,32,31,30,29,28,27,26,25,24,23,22,21",
+    "40,39,38,17,37,36,35,34,33,32,31,30,29,28,27,26,25,24,23,22,21",
+    "40,39,18,38,37,36,35,34,33,32,31,30,29,28,27,26,25,24,23,22,21",
+    "40,19,39,38,37,36,35,34,33,32,31,30,29,28,27,26,25,24,23,22,21",
+]
+PROFILE_20_21 = (
+    "a=20 b=21 threshold=41\n"
+    "c = 20\n"
+    "B = 1051\n"
+    "H = 1071 (verified over 50 increments)\n"
+    "anchor state = 40,38,36,34,32,30,28,26,24,22,20,38,35,32,20."
+    "40,39,38,37,36,35,34,33,32,31,30,29,28,27,6,26,25,24,23,22,21\n"
+    "anchor settlement index = 216\n"
+    "settlements cycle from k = 230 (tetrahedral formula gives 1541)\n"
+    "dormant settlements = 20, last at k = 209\n"
+    + "delta strings: " + ", ".join(PROFILE_20_21_DELTAS) + "\n"
+    + "eventual origout digit = 20\n"
+    "eventual right value at b/a = 400 (= a*c)\n"
+    "eventual left value at b/a = n - 400\n"
+)
+
+
+def test_profile_slow_to_certify_pair_golden():
+    """(20, 21) certifies only after B = 1051; its report is pinned byte for byte."""
+    assert run_cli("profile", "-a", "20", "-b", "21") == (0, PROFILE_20_21)
+
+
 def test_subprocess_entry_point():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(

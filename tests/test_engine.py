@@ -13,13 +13,16 @@ from chipfire import (
     fire,
     increment_origin,
     new_state,
+    oracle_rows,
     oracle_states,
     settle_right,
+    split,
     stabilize,
     stabilize_line,
     state_word,
     word_to_string,
 )
+from chipfire import engine
 from chipfire.engine import _Buffer
 from chipfire.errors import FireBelowThreshold, InvalidParams, InvariantViolation
 
@@ -177,12 +180,37 @@ def test_oracle_states_rows_match_stabilize(a, b):
         assert (state, log) == stabilize(new_state(n, p)), (a, b, n)
 
 
-def test_buffer_bound_check_is_not_an_assert():
+@pytest.mark.parametrize("a,b", [(2, 2), (4, 6), (3, 2), (2, 3), (1, 2)])
+def test_oracle_rows_match_split_and_log(a, b):
+    """Rows read off the buffer equal analysis.split of oracle_states' state
+    and the log's origin and origout counts."""
+    p = GameParams(a, b)
+    rows = list(oracle_rows(p, 150))
+    assert [row[0] for row in rows] == list(range(151))
+    for (n, left, right, f0, f1), (_, state, log) in zip(rows, oracle_states(p, 150)):
+        want_left, want_right = split(state)
+        assert left == want_left.digits, (a, b, n)
+        assert right == want_right.fraction_digits(), (a, b, n)
+        assert (f0, f1) == (log.fires.get(0, 0), log.fires.get(1, 0)), (a, b, n)
+
+
+def test_buffer_bound_check_is_not_an_assert(monkeypatch):
     p = GameParams(2, 3)
     bb = _Buffer(new_state(9, p))
     bb.lo = 0
     with pytest.raises(InvariantViolation):
         bb.to_state(p)
+
+    real = engine._scan
+
+    def escaping(bb, *args):
+        real(bb, *args)
+        bb.lo = 0
+
+    monkeypatch.setattr(engine, "_scan", escaping)
+    for view in (oracle_rows, oracle_states):
+        with pytest.raises(InvariantViolation):
+            list(view(p, 9))
 
 
 ALL_STRATEGIES = [

@@ -1,5 +1,7 @@
 """Fast-path predictor vs. the simulation oracle, plus the 1-b laws."""
 
+from math import gcd
+
 import pytest
 
 from chipfire import (
@@ -25,7 +27,7 @@ from chipfire import (
     state_word,
     word_to_string,
 )
-from chipfire.errors import InvalidParams, NotRegular
+from chipfire.errors import InvalidParams, NotRegular, ScanExhausted, WindowFailure
 from chipfire.predictor import compute_profile, final_counts, profile_for
 
 SIX_PAIRS = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]
@@ -220,6 +222,162 @@ def test_compute_profile_rejects_unstructured():
         compute_profile(GameParams(2, 2))
     with pytest.raises(InvalidParams):
         compute_profile(GameParams(4, 6))
+
+
+# --- one-pass certification against the two-pass reference ------------------
+
+
+def _balanced_B_two_pass(params, scan_limit):
+    """Reference B search: a first oracle_states pass, ChipState by ChipState."""
+    from chipfire.errors import CensusMismatch, ScanExhausted
+    from chipfire.settlements import highest_dormant_index, seq_for
+
+    seq = seq_for(params)
+    last_dormant = highest_dormant_index(params)
+    for n, state, log in oracle_states(params, scan_limit):
+        f0 = log.fires.get(0, 0)
+        if seq.word(f0) != split(state)[1].fraction_digits():
+            raise CensusMismatch(f"n={n}")
+        if f0 > last_dormant:
+            return n
+    raise ScanExhausted(f"no balanced n below {scan_limit}")
+
+
+def _simulate_prefix_reference(params, n_max):
+    words, lefts, f0s, f1s = [], [], [], []
+    for n, state, log in oracle_states(params, n_max):
+        word = state_word(state)
+        words.append(word)
+        lefts.append(word.integer_digits())
+        f0s.append(log.fires.get(0, 0))
+        f1s.append(log.fires.get(1, 0))
+    return words, lefts, f0s, f1s
+
+
+def _find_H_reference(params, seq, ac, B, words, lefts, f0s, check_window, n_sim):
+    import chipfire.predictor as predictor
+
+    for h in range(max(B, 1), n_sim - check_window + 1):
+        if any(d < params.a for d in lefts[h]):
+            continue
+        ok = True
+        for n in range(h, h + check_window):
+            try:
+                nxt, explosions = elevated_increment(DigitWord(lefts[n], 0), params)
+            except NotRegular:
+                ok = False
+                break
+            closed = predictor.left_regular_word(n - ac, params)
+            if (
+                nxt.digits != lefts[n + 1]
+                or f0s[n] + explosions != f0s[n + 1]
+                or closed is None
+                or closed.digits != lefts[n]
+                or seq.word(f0s[n]) != words[n].fraction_digits()
+            ):
+                ok = False
+                break
+        if ok:
+            return h
+    return None
+
+
+def _compute_profile_two_pass(params, check_window=50, scan_limit=20000):
+    """Reference certification: find B in one pass, then re-simulate prefixes
+    of 256, 1024, 4096, ... chips until one holds a certified window."""
+    from chipfire.errors import WindowFailure
+    from chipfire.predictor import PredictorProfile
+    from chipfire.settlements import seq_for
+
+    params.require_structured()
+    seq = seq_for(params)
+    ac = params.a * params.c
+    B = _balanced_B_two_pass(params, scan_limit)
+    n_sim = 256
+    while True:
+        n_sim = min(n_sim, scan_limit + check_window)
+        if n_sim >= B + check_window:
+            words, lefts, f0s, f1s = _simulate_prefix_reference(params, n_sim)
+            H = _find_H_reference(params, seq, ac, B, words, lefts, f0s, check_window, n_sim)
+            if H is not None:
+                return PredictorProfile(
+                    params=params, B=B, H=H, anchor_state=words[H],
+                    anchor_left=DigitWord(lefts[H], 0), anchor_index=f0s[H],
+                    verified_window=check_window, table=tuple(words[: H + 1]),
+                    f0_table=tuple(f0s[: H + 1]), f1_table=tuple(f1s[: H + 1]),
+                )
+        if n_sim >= scan_limit + check_window:
+            raise WindowFailure(f"no certified H below {scan_limit}")
+        n_sim *= 4
+
+
+COPRIME_UP_TO_9 = [(a, b) for b in range(2, 10) for a in range(1, b) if gcd(a, b) == 1]
+
+
+@pytest.mark.parametrize("a,b", COPRIME_UP_TO_9 + [(20, 21)])
+@pytest.mark.parametrize("window", [1, 5, 50])
+def test_one_pass_profile_equals_two_pass(a, b, window):
+    p = GameParams(a, b)
+    assert compute_profile(p, window) == _compute_profile_two_pass(p, window)
+
+
+@pytest.mark.parametrize("a,b,window", [(2, 3, 5), (3, 4, 50), (20, 21, 50)])
+def test_failed_step_restarts_the_window(monkeypatch, a, b, window):
+    """A step that fails inside a window moves H past it, as in the reference."""
+    import chipfire.predictor as predictor
+
+    p = GameParams(a, b)
+    ac = a * p.c
+    B = compute_profile(p, window).B
+    failing = {B + 2 - ac, B + window - ac}
+    real = predictor.left_regular_word
+
+    def flaky(value, params):
+        return None if value in failing else real(value, params)
+
+    monkeypatch.setattr(predictor, "left_regular_word", flaky)
+    prof = compute_profile(p, window)
+    assert prof.H > B + window
+    assert prof == _compute_profile_two_pass(p, window)
+
+
+@pytest.mark.parametrize(
+    "scan_limit,outcome", [(1000, ScanExhausted), (1060, WindowFailure), (1071, 1071)]
+)
+def test_profile_scan_limit_outcomes(scan_limit, outcome):
+    """(20, 21) has B = 1051 and H = 1071: a limit below B finds no B, one
+    below H certifies nothing, and a limit of exactly H certifies it."""
+    p = GameParams(20, 21)
+    if isinstance(outcome, int):
+        prof = compute_profile(p, 50, scan_limit)
+        assert (prof.B, prof.H) == (1051, outcome)
+        assert prof == _compute_profile_two_pass(p, 50, scan_limit)
+    else:
+        with pytest.raises(outcome):
+            compute_profile(p, 50, scan_limit)
+        with pytest.raises(outcome):
+            _compute_profile_two_pass(p, 50, scan_limit)
+
+
+@pytest.mark.parametrize("a,b,window", [(20, 21, 50), (2, 3, 5), (1, 2, 1), (7, 9, 50)])
+def test_certification_reads_rows_up_to_H_plus_window(monkeypatch, a, b, window):
+    """One oracle pass that stops at row H + window: H + window + 1 rows."""
+    import chipfire.predictor as predictor
+
+    calls = []
+    read = []
+    real = predictor.oracle_rows
+
+    def counting(params, n_max):
+        calls.append(n_max)
+        for row in real(params, n_max):
+            read.append(row[0])
+            yield row
+
+    monkeypatch.setattr(predictor, "oracle_rows", counting)
+    prof = compute_profile(GameParams(a, b), window)
+    assert len(calls) == 1
+    assert read == list(range(prof.H + window + 1))
 
 
 # --- 1-b specializations ----------------------------------------------------

@@ -279,3 +279,14 @@ def test_word_to_string_matches_three_pass_reference(w, list_form, radix_mark):
             word_to_string(w, list_form=list_form, radix_mark=radix_mark)
         return
     assert word_to_string(w, list_form=list_form, radix_mark=radix_mark) == expected
+
+
+@pytest.mark.parametrize("digits", [(-1, 2, 3), (2, -1, 3), (2, 3, -1), (-5,)])
+def test_negative_digit_rejected_in_any_position(digits):
+    with pytest.raises(ValueError, match="non-negative"):
+        DigitWord(digits, -1)
+
+
+def test_empty_and_zero_words_build():
+    assert DigitWord((), 0) == EMPTY_WORD and EMPTY_WORD.is_empty()
+    assert DigitWord((0, 0, 0), -2).digits == (0, 0, 0)
