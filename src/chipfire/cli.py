@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import analysis
 from .engine import FiringLog, GameParams, new_state, stabilize, stabilize_line
-from .errors import ChipFiringError, InvalidParams, ParseError
+from .errors import ChipFiringError, InvalidParams, ParseError, ScanExhausted
 from .predictor import final_counts, final_state, profile_for
 from .settlements import (
     delta_strings,
@@ -373,7 +373,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args, out)
-    except (InvalidParams, ParseError) as exc:
+    except (InvalidParams, ParseError, ScanExhausted) as exc:
+        # ScanExhausted is a refusal: the pair's profile cannot be certified
+        # within the scan cap, so no answer is given.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChipFiringError as exc:

@@ -234,10 +234,12 @@ class _Checker:
     Verifies sum(s) == n together with the scaled identity
     sum(s_m * a^(m-lo) * b^(hi-m)) == n * a^(-lo) * b^(hi), which is the
     state polynomial at t=b/a cleared of denominators.  Integer-only, so
-    the check is exact at any size.
+    the check is exact at any size.  The kernels call ``check`` after every
+    ``every``-th firing, counting down inline and only when there is a
+    checker, so an unchecked run pays one ``is not None`` test per firing.
     """
 
-    __slots__ = ("a", "b", "n", "apow", "bpow", "every", "countdown", "checks")
+    __slots__ = ("a", "b", "n", "apow", "bpow", "every", "checks")
 
     def __init__(self, params: GameParams, n: int, every: int):
         self.a = params.a
@@ -246,7 +248,6 @@ class _Checker:
         self.apow = [1]
         self.bpow = [1]
         self.every = every
-        self.countdown = every
         self.checks = 0
 
     def _grow(self, table: list[int], base: int, k: int) -> None:
@@ -278,12 +279,6 @@ class _Checker:
                 f"after {bb.total} firings"
             )
 
-    def tick(self, bb: _Buffer) -> None:
-        self.countdown -= 1
-        if self.countdown == 0:
-            self.countdown = self.every
-            self.check(bb)
-
 
 def _scan(bb: _Buffer, T: int, a: int, b: int, v: int, step: int, floor: int,
           checker: _Checker | None) -> None:
@@ -299,6 +294,7 @@ def _scan(bb: _Buffer, T: int, a: int, b: int, v: int, step: int, floor: int,
     fcount = bb.fcount
     lo, hi = bb.lo, bb.hi
     total = bb.total
+    due = checker.every if checker is not None else 0
     # Firing v can only push v-step back over the threshold, so the cursor
     # retreats at most one cell per firing; the floor is only consulted then.
     while lo <= v <= hi:
@@ -313,8 +309,11 @@ def _scan(bb: _Buffer, T: int, a: int, b: int, v: int, step: int, floor: int,
             if v + 1 > hi:
                 hi = v + 1
             if checker is not None:
-                bb.lo, bb.hi, bb.total = lo, hi, total
-                checker.tick(bb)
+                due -= 1
+                if not due:
+                    due = checker.every
+                    bb.lo, bb.hi, bb.total = lo, hi, total
+                    checker.check(bb)
             back = v - step
             if buf[back] >= T and back >= floor:
                 v = back
@@ -329,6 +328,7 @@ def _run_parallel(bb: _Buffer, T: int, a: int, b: int, checker: _Checker | None)
     fcount = bb.fcount
     lo, hi = bb.lo, bb.hi
     total = bb.total
+    due = checker.every if checker is not None else 0
     while True:
         firable = [i for i in range(lo, hi + 1) if buf[i] >= T]
         if not firable:
@@ -340,10 +340,13 @@ def _run_parallel(bb: _Buffer, T: int, a: int, b: int, checker: _Checker | None)
             fcount[i] += 1
             total += 1
             if checker is not None:
-                bb.lo = min(lo, firable[0] - 1)
-                bb.hi = max(hi, firable[-1] + 1)
-                bb.total = total
-                checker.tick(bb)
+                due -= 1
+                if not due:
+                    due = checker.every
+                    bb.lo = min(lo, firable[0] - 1)
+                    bb.hi = max(hi, firable[-1] + 1)
+                    bb.total = total
+                    checker.check(bb)
         if firable[0] - 1 < lo:
             lo = firable[0] - 1
         if firable[-1] + 1 > hi:
@@ -364,6 +367,7 @@ def _run_random(bb: _Buffer, T: int, a: int, b: int, seed: int,
     fcount = bb.fcount
     lo, hi = bb.lo, bb.hi
     total = bb.total
+    due = checker.every if checker is not None else 0
     candidates = [i for i in range(lo, hi + 1) if buf[i] >= T]
     queued = bytearray(len(buf))
     for i in candidates:
@@ -397,8 +401,11 @@ def _run_random(bb: _Buffer, T: int, a: int, b: int, seed: int,
             queued[vp] = 1
             candidates.append(vp)
         if checker is not None:
-            bb.lo, bb.hi, bb.total = lo, hi, total
-            checker.tick(bb)
+            due -= 1
+            if not due:
+                due = checker.every
+                bb.lo, bb.hi, bb.total = lo, hi, total
+                checker.check(bb)
     bb.lo, bb.hi, bb.total = lo, hi, total
 
 

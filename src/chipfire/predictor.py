@@ -169,15 +169,15 @@ def lift_noncoprime(w: DigitWord, d: int, q: int) -> DigitWord:
         raise InvalidParams(f"need d >= 1 and 0 <= q < d, got d={d}, q={q}")
     if w.is_empty():
         return DigitWord((q,), 0)
-    lo = min(w.radix, 0)
-    hi = max(w.hi, 0)
-    digits = []
-    for p in range(hi, lo - 1, -1):
-        dig = w.digit_at(p) * d
-        if p == 0:
-            dig += q
-        digits.append(dig)
-    return DigitWord(tuple(digits), lo)
+    # Scale, zero-pad the word out to the origin, then add q at position 0,
+    # which sits at index max(hi, 0) of the padded digits.
+    digits = [x * d for x in w.digits]
+    if w.radix > 0:
+        digits += [0] * w.radix
+    if w.hi < 0:
+        digits = [0] * -w.hi + digits
+    digits[max(w.hi, 0)] += q
+    return DigitWord(tuple(digits), min(w.radix, 0))
 
 
 def mirror_word(w: DigitWord) -> DigitWord:

@@ -125,21 +125,19 @@ def to_base(n: int, params: GameParams) -> DigitWord:
     return DigitWord.integer(reversed(low_first)) if low_first else DigitWord((0,), 0)
 
 
+# Words up to this many digits are evaluated by one Horner pass; longer ones
+# are split in halves, so that the big products stay balanced.
+_LEAF_DIGITS = 64
+
+
 def eval_base(w: DigitWord, params: GameParams) -> Fraction:
     """Exact value sum(d_p * (b/a)^p) over every position of the word."""
     if w.is_empty():
         return Fraction(0)
     a, b = params.a, params.b
     # num = sum over positions of d_p * b^(p-radix) * a^(hi-p), an integer;
-    # the true value is then num * b^radix / a^hi.  One Horner pass from the
-    # most significant digit: each later digit multiplies num by b once and
-    # carries one more factor of a.
-    num = 0
-    apow = 1
-    for d in w.digits:
-        num = num * b + d * apow
-        apow *= a
-    val = Fraction(num)
+    # the true value is then num * b^radix / a^hi.
+    val = Fraction(_numerator(w.digits, 0, len(w.digits), a, b, {}))
     if w.radix >= 0:
         val *= b**w.radix
     else:
@@ -149,6 +147,36 @@ def eval_base(w: DigitWord, params: GameParams) -> Fraction:
     else:
         val *= a ** (-w.hi)
     return val
+
+
+def _numerator(ds: tuple[int, ...], i: int, j: int, a: int, b: int,
+               pows: dict[tuple[int, int], int]) -> int:
+    """sum(ds[i+t] * b^(j-i-1-t) * a^t) over the digits ds[i:j], most
+    significant first.
+
+    A product tree: with the first half worth ``hi`` and the second ``lo``,
+    the whole is hi * b^len(second) + lo * a^len(first).  Halving keeps at
+    most two lengths per level, which ``pows`` caches.  Leaves are one Horner
+    pass: each later digit multiplies the sum by b and carries one more a.
+    """
+    if j - i <= _LEAF_DIGITS:
+        num = 0
+        apow = 1
+        for d in ds[i:j]:
+            num = num * b + d * apow
+            apow *= a
+        return num
+    m = (i + j) // 2
+    hi = _numerator(ds, i, m, a, b, pows)
+    lo = _numerator(ds, m, j, a, b, pows)
+    return hi * _power(pows, b, j - m) + lo * _power(pows, a, m - i)
+
+
+def _power(pows: dict[tuple[int, int], int], base: int, e: int) -> int:
+    p = pows.get((base, e))
+    if p is None:
+        p = pows[base, e] = base**e
+    return p
 
 
 def explode_once(w: DigitWord, p: int, params: GameParams) -> DigitWord:

@@ -213,6 +213,19 @@ def test_malformed_numbers_exit_two(argv, capsys):
     assert capsys.readouterr().err.startswith("error: bad integer ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("final", "5", "-a", "100", "-b", "101"),
+    ("final", "5", "-a", "300", "-b", "303"),
+    ("profile", "-a", "100", "-b", "101"),
+])
+def test_scan_cap_refusal_exits_two(argv, capsys):
+    # (100, 101) has no balanced n within the profile's scan cap; the gcd
+    # lift of (300, 303) reduces to it.  That is a refusal, not a failed check.
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: no balanced n below 20000 for (100,101)\n"
+
+
 @pytest.mark.parametrize("half", [("-a", "2"), ("-b", "3")])
 def test_verify_half_pair_exit_two(half, capsys):
     code, out = run_cli("verify", "invariants", *half)

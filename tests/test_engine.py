@@ -257,6 +257,28 @@ def test_checked_stabilize_runs_clean():
     assert final == fresh and log.total > 0
 
 
+@pytest.mark.parametrize("every", [1, 7, 256])
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.kind)
+def test_checker_cadence(strategy, every, monkeypatch):
+    # One check on the initial state, one after every `every`-th firing and
+    # one on the final state, for every schedule.
+    calls = []
+    check = engine._Checker.check
+
+    def counting_check(self, bb):
+        calls.append(bb.total)
+        check(self, bb)
+
+    monkeypatch.setattr(engine._Checker, "check", counting_check)
+    for a, b, n in [(2, 3, 300), (1, 2, 150), (3, 3, 200)]:
+        calls.clear()
+        final, log = stabilize(new_state(n, GameParams(a, b)), strategy, check_every=every)
+        assert log.total >= 256
+        assert len(calls) == 2 + log.total // every
+        assert calls[1:-1] == [every * k for k in range(1, log.total // every + 1)]
+        assert (final, log) == stabilize(new_state(n, GameParams(a, b)), strategy)
+
+
 @given(
     n=st.integers(min_value=0, max_value=120),
     a=st.integers(min_value=1, max_value=5),

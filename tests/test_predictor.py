@@ -3,6 +3,7 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chipfire import (
     DigitWord,
@@ -107,11 +108,54 @@ def test_lift_noncoprime():
 
 
 def test_lift_matches_simulation():
-    for a, b in [(2, 4), (4, 6), (6, 9), (3, 3)]:
+    for a, b in [(2, 4), (4, 6), (6, 9), (3, 6), (3, 3)]:
         p = GameParams(a, b)
-        for n in range(0, 90):
+        if a != b:
+            # n runs past d*H, where the reduced game leaves its table.
+            reduced = GameParams(a // p.d, b // p.d)
+            assert profile_for(reduced).H * p.d < 200
+        for n in range(0, 201):
             sim, _ = stabilize(new_state(n, p))
             assert final_state(n, p) == state_word(sim), f"({a},{b}) n={n}"
+
+
+def _lift_per_position(w, d, q):
+    """The earlier lift_noncoprime: digit_at and hi called at every position."""
+    if d < 1 or not 0 <= q < max(d, 1):
+        raise InvalidParams(f"need d >= 1 and 0 <= q < d, got d={d}, q={q}")
+    if w.is_empty():
+        return DigitWord((q,), 0)
+    lo = min(w.radix, 0)
+    hi = max(w.hi, 0)
+    digits = []
+    for p in range(hi, lo - 1, -1):
+        dig = w.digit_at(p) * d
+        if p == 0:
+            dig += q
+        digits.append(dig)
+    return DigitWord(tuple(digits), lo)
+
+
+# Words anywhere on the line: the empty word, radix above zero, and hi below
+# zero (a run of zeros between the origin and the first digit).
+lift_words = st.one_of(
+    st.just(DigitWord((), 0)),
+    st.builds(
+        DigitWord,
+        st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=12).map(tuple),
+        st.integers(min_value=-15, max_value=6),
+    ),
+)
+
+
+@given(w=lift_words, d=st.integers(min_value=1, max_value=6))
+@settings(max_examples=200, deadline=None)
+def test_lift_matches_per_position_reference(w, d):
+    for q in range(d):
+        assert lift_noncoprime(w, d, q) == _lift_per_position(w, d, q)
+    for q in (-1, d):
+        with pytest.raises(InvalidParams):
+            lift_noncoprime(w, d, q)
 
 
 def test_elevated_increment_examples():

@@ -12,6 +12,7 @@ from chipfire import (
     eval_base,
     explode_normalize,
     explode_once,
+    final_state,
     string_to_word,
     to_base,
     word_to_string,
@@ -212,6 +213,29 @@ def _eval_base_power_sum(w, params):
     return val
 
 
+def _eval_base_horner(w, params):
+    """The earlier eval_base: one Horner pass over every digit, quadratic in
+    the word length because its integer grows with each digit."""
+    if w.is_empty():
+        return Fraction(0)
+    a, b = params.a, params.b
+    num = 0
+    apow = 1
+    for d in w.digits:
+        num = num * b + d * apow
+        apow *= a
+    val = Fraction(num)
+    if w.radix >= 0:
+        val *= b**w.radix
+    else:
+        val /= b ** (-w.radix)
+    if w.hi >= 0:
+        val /= a**w.hi
+    else:
+        val *= a ** (-w.hi)
+    return val
+
+
 def _word_to_string_three_pass(w, *, list_form=None, radix_mark="auto"):
     """The earlier word_to_string: a digit scan, part copies, str per digit."""
     if list_form is None:
@@ -263,6 +287,48 @@ def test_eval_base_matches_power_sum_on_long_words():
         assert eval_base(w, p) == _eval_base_power_sum(w, p) == n
     w = DigitWord((4, 3) * 200, -390)
     assert eval_base(w, p) == _eval_base_power_sum(w, p)
+
+
+# Up to about 300 digits, so that words fall on both sides of the product
+# tree's 64-digit leaves and split into several levels.
+long_words_anywhere = st.one_of(
+    st.just(EMPTY_WORD),
+    st.builds(
+        DigitWord,
+        st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=300).map(tuple),
+        st.integers(min_value=-320, max_value=12),
+    ),
+)
+
+
+@given(
+    w=long_words_anywhere,
+    pair=st.sampled_from([(1, 2), (2, 3), (3, 4), (5, 7), (3, 2), (4, 6), (2, 2), (1, 1)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_eval_base_matches_horner(w, pair):
+    p = GameParams(*pair)
+    assert eval_base(w, p) == _eval_base_horner(w, p)
+
+
+def test_eval_base_matches_horner_at_leaf_boundaries():
+    # Lengths on both sides of one and two 64-digit leaves, with hi above,
+    # at and below zero.
+    for k in (1, 63, 64, 65, 128, 129, 300):
+        digits = tuple((7 * i + 3) % 41 for i in range(k))
+        for hi in (5, 0, -1, -3):
+            w = DigitWord(digits, hi - k + 1)
+            for pair in [(2, 3), (3, 2), (5, 7)]:
+                p = GameParams(*pair)
+                assert eval_base(w, p) == _eval_base_horner(w, p)
+
+
+def test_eval_base_of_long_final_states_is_n():
+    for n, pair, length in [(10**5, (2, 3), 49988), (3 * 10**4, (1, 2), 29993)]:
+        p = GameParams(*pair)
+        w = final_state(n, p)
+        assert len(w.digits) == length
+        assert eval_base(w, p) == n == _eval_base_horner(w, p)
 
 
 @given(
