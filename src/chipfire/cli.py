@@ -76,22 +76,25 @@ def _record(n: int, params: GameParams, word: DigitWord, log: FiringLog | None) 
     else:
         f0, f1 = final_counts(n, params)
         total = None if params.a == params.b else analysis.firings_from_word(word, params)
-    left = DigitWord(word.integer_digits(), 0)
-    right = DigitWord.fraction(word.fraction_digits())
-    # Each digit becomes text once; the state, left and right strings are
-    # assembled from the same pieces, exactly as word_to_string renders them.
-    head = list(map(str, left.digits))
-    tail = list(map(str, right.digits))
+    head, tail = word.integer_digits(), word.fraction_digits()
+    # S(b/a) = n on every state, so the two side values sum to n: only the
+    # part with fewer digits is evaluated, the other side is n minus it.
+    if len(head) <= len(tail):
+        left_value = eval_base(DigitWord(head, 0), params)
+        right_value = n - left_value
+    else:
+        right_value = eval_base(DigitWord.fraction(tail), params)
+        left_value = n - right_value
     return {
         "a": params.a,
         "b": params.b,
         "n": n,
         "state": render_digits(head, tail, True),
-        "left": render_digits(head, [], not head),
-        "right": render_digits([], tail, True),
+        "left": render_digits(head, (), not head),
+        "right": render_digits((), tail, True),
         "settlement_index": f0 if params.is_structured() else None,
-        "left_value_boa": _frac_text(eval_base(left, params)),
-        "right_value_boa": _frac_text(eval_base(right, params)),
+        "left_value_boa": _frac_text(left_value),
+        "right_value_boa": _frac_text(right_value),
         "f0": f0,
         "f1": f1,
         "total_firings": total,
@@ -102,6 +105,8 @@ def cmd_final(args, out) -> int:
     params = GameParams(args.a, args.b)
     fmt = _fmt(args)
     if args.range is not None:
+        if args.n is not None:
+            raise InvalidParams("final takes N or --range, not both")
         lo, hi = args.range
         if lo > hi or lo < 0:
             raise InvalidParams(f"bad range {lo}..{hi}")

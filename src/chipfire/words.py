@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .engine import GameParams
 from .errors import InvalidBase, ParseError
@@ -131,10 +132,17 @@ _LEAF_DIGITS = 64
 
 
 def eval_base(w: DigitWord, params: GameParams) -> Fraction:
-    """Exact value sum(d_p * (b/a)^p) over every position of the word."""
+    """Exact value sum(d_p * (b/a)^p) over every position of the word.
+
+    The base is taken in lowest terms, so (4, 6) costs what (2, 3) does and
+    a = b, where every power is one, is the digit sum.
+    """
     if w.is_empty():
         return Fraction(0)
-    a, b = params.a, params.b
+    d = gcd(params.a, params.b)
+    a, b = params.a // d, params.b // d
+    if a == b:
+        return Fraction(w.digit_sum())
     # num = sum over positions of d_p * b^(p-radix) * a^(hi-p), an integer;
     # the true value is then num * b^radix / a^hi.
     val = Fraction(_numerator(w.digits, 0, len(w.digits), a, b, {}))
@@ -242,31 +250,42 @@ def word_to_string(
     (numeral style); "always" prints it after the position-0 digit even for
     integer words (state style, as in "24.").
     """
-    head = list(map(str, w.integer_digits()))
-    tail = list(map(str, w.fraction_digits()))
+    head = w.integer_digits()
+    tail = w.fraction_digits()
     want_dot = bool(tail) or radix_mark == "always" or not head
     return render_digits(head, tail, want_dot, list_form)
 
 
-def render_digits(head: list[str], tail: list[str], want_dot: bool,
-                  list_form: bool | None = None) -> str:
-    """The text of a word whose digits, already rendered, are ``head`` before
-    the radix point and ``tail`` after it; ``want_dot`` prints the point.
+# Digits 0..9 as the bytes of their characters; compact rendering maps a
+# whole digit tuple through this table in one call.
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
-    Compact form when every digit is one character and list_form allows it.
+
+def _compact(digits: tuple[int, ...]) -> str:
+    return bytes(digits).translate(_DIGIT_CHARS).decode()
+
+
+def render_digits(head: tuple[int, ...], tail: tuple[int, ...], want_dot: bool,
+                  list_form: bool | None = None) -> str:
+    """The text of a word whose digits are ``head`` before the radix point
+    and ``tail`` after it; ``want_dot`` prints the point.
+
+    Compact form when every digit is at most 9 and list_form allows it.
     """
     if not list_form:
-        compact_head, compact_tail = "".join(head), "".join(tail)
-        # Every digit is one character exactly when none is above 9.
-        if len(compact_head) + len(compact_tail) == len(head) + len(tail):
-            return compact_head + "." + compact_tail if want_dot else compact_head
+        if max(head, default=0) <= 9 and max(tail, default=0) <= 9:
+            compact_head = _compact(head)
+            return compact_head + "." + _compact(tail) if want_dot else compact_head
         if list_form is False:
             raise ParseError("compact form cannot express digits above 9")
-    out = ",".join(head) + "." + ",".join(tail) if want_dot else ",".join(head)
+    head_text = list(map(str, head))
+    tail_text = list(map(str, tail))
+    out = (",".join(head_text) + "." + ",".join(tail_text) if want_dot
+           else ",".join(head_text))
     if "," not in out:
         # A comma-less rendering would read back as compact digits; emit the
         # radix dot as its own comma-separated token instead ("14,.", ".,10").
-        out = ",".join(head + ["."] + tail)
+        out = ",".join(head_text + ["."] + tail_text)
     return out
 
 

@@ -226,6 +226,24 @@ def test_scan_cap_refusal_exits_two(argv, capsys):
     assert capsys.readouterr().err == "error: no balanced n below 20000 for (100,101)\n"
 
 
+def test_final_refuses_n_with_range(capsys):
+    code, out = run_cli("final", "5", "--range", "0", "3", "-a", "2", "-b", "3")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: final takes N or --range, not both\n"
+
+
+def test_final_digits_above_255():
+    # a = b = 300 leaves 300 and 400 chips on single vertices: no digit fits
+    # one character, nor one byte.
+    for fmt in ((), ("--format", "compact"), ("--format", "list")):
+        assert run_cli("final", "1000", "-a", "300", "-b", "300", *fmt) == (0, "300,400.300\n")
+    code, out = run_cli("final", "1000", "-a", "300", "-b", "300", "--json")
+    rec = json.loads(out)
+    assert code == 0
+    assert (rec["state"], rec["left"], rec["right"]) == ("300,400.300", "300,400", ".,300")
+    assert (rec["left_value_boa"], rec["right_value_boa"]) == ("700", "300")
+
+
 @pytest.mark.parametrize("half", [("-a", "2"), ("-b", "3")])
 def test_verify_half_pair_exit_two(half, capsys):
     code, out = run_cli("verify", "invariants", *half)
@@ -324,7 +342,8 @@ def test_text_state_equals_json_state(a, b):
 
 def _record_three_calls(n, params, word, log):
     """Reference: the JSON record as built by rendering the state, then its
-    left and right parts, each with its own word_to_string call."""
+    left and right parts, each with its own word_to_string call, and by
+    evaluating both parts exactly."""
     from chipfire import DigitWord, eval_base, word_to_string
     from chipfire.analysis import firings_from_word
     from chipfire.predictor import final_counts
@@ -353,11 +372,12 @@ def _record_three_calls(n, params, word, log):
 
 
 @pytest.mark.parametrize(
-    "a,b", [(20, 21), (3, 8), (1, 10), (9, 10), (2, 3), (4, 6), (3, 2), (2, 2)]
+    "a,b", sorted(set(BRANCH_PAIRS) | {(20, 21), (3, 8), (1, 10), (9, 10)})
 )
 def test_record_renders_like_three_calls(a, b):
-    """One digit-to-text pass gives the same records, byte for byte, list-form
-    fallbacks and lone-dot forms ("14,.", ".,10") included."""
+    """One digit-to-text pass and one exact evaluation give the same records,
+    byte for byte, list-form fallbacks and lone-dot forms ("14,.", ".,10")
+    included, on every dispatch branch."""
     from chipfire import GameParams, final_state, oracle_states, state_word
 
     p = GameParams(a, b)
@@ -372,6 +392,29 @@ def test_record_renders_like_three_calls(a, b):
         ]
         assert code == 0
         assert out.splitlines() == [json.dumps(rec) for rec in want], (a, b, oracle)
+
+
+@pytest.mark.parametrize("a, b", BRANCH_PAIRS)
+def test_record_evaluates_only_the_shorter_part(a, b, monkeypatch):
+    import chipfire.cli
+    from chipfire import eval_base, string_to_word
+
+    evaluated = []
+
+    def counting_eval_base(w, params):
+        evaluated.append(len(w.digits))
+        return eval_base(w, params)
+
+    monkeypatch.setattr(chipfire.cli, "eval_base", counting_eval_base)
+    for oracle in ((), ("--oracle",)):
+        evaluated.clear()
+        code, out = run_cli("final", "-a", str(a), "-b", str(b), "--range", "0", "300",
+                            "--json", *oracle)
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(recs) == len(evaluated) == 301
+        for rec, digits in zip(recs, evaluated):
+            w = string_to_word(rec["state"])
+            assert digits <= min(len(w.integer_digits()), len(w.fraction_digits())), rec
 
 
 def test_record_lone_dot_forms():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chipfire import (
     EMPTY_WORD,
@@ -258,6 +258,23 @@ def _word_to_string_three_pass(w, *, list_form=None, radix_mark="auto"):
     return out
 
 
+def _word_to_string_map_str(w, *, list_form=None, radix_mark="auto"):
+    """The earlier word_to_string: every digit made a str, then joined."""
+    head = list(map(str, w.integer_digits()))
+    tail = list(map(str, w.fraction_digits()))
+    want_dot = bool(tail) or radix_mark == "always" or not head
+    if not list_form:
+        compact_head, compact_tail = "".join(head), "".join(tail)
+        if len(compact_head) + len(compact_tail) == len(head) + len(tail):
+            return compact_head + "." + compact_tail if want_dot else compact_head
+        if list_form is False:
+            raise ParseError("compact form cannot express digits above 9")
+    out = ",".join(head) + "." + ",".join(tail) if want_dot else ",".join(head)
+    if "," not in out:
+        out = ",".join(head + ["."] + tail)
+    return out
+
+
 # Words anywhere on the line: radix above, at and below zero, hi below zero
 # (a gap of zeros after the radix point), the empty word, digits above 9.
 words_anywhere = st.one_of(
@@ -356,3 +373,62 @@ def test_negative_digit_rejected_in_any_position(digits):
 def test_empty_and_zero_words_build():
     assert DigitWord((), 0) == EMPTY_WORD and EMPTY_WORD.is_empty()
     assert DigitWord((0, 0, 0), -2).digits == (0, 0, 0)
+
+
+def _render_or_error(render, *args, **kwargs):
+    try:
+        return render(*args, **kwargs)
+    except ParseError:
+        return ParseError
+
+
+RENDER_OPTIONS = [(list_form, radix_mark) for list_form in (None, True, False)
+                  for radix_mark in ("auto", "always")]
+
+# Words as in words_anywhere, with digits on both sides of the 9/10 boundary
+# between the compact and the list form.
+render_words = st.one_of(
+    st.just(EMPTY_WORD),
+    st.builds(
+        DigitWord,
+        st.lists(st.one_of(st.integers(min_value=0, max_value=40), st.sampled_from([9, 10])),
+                 min_size=1, max_size=30).map(tuple),
+        st.integers(min_value=-40, max_value=12),
+    ),
+)
+
+
+@given(w=render_words)
+@example(w=EMPTY_WORD)
+@example(w=DigitWord((9, 9), 0))
+@example(w=DigitWord((10,), 2))
+@example(w=DigitWord((10,), -3))
+@example(w=DigitWord((9, 10), -1))
+@example(w=DigitWord((300, 9, 256, 0, 1000), -3))
+@settings(max_examples=300, deadline=None)
+def test_word_to_string_matches_map_str_reference(w):
+    """Rendering by byte translation equals the per-digit str rendering, for
+    every list_form and radix_mark, with an empty head, tail or both."""
+    for list_form, radix_mark in RENDER_OPTIONS:
+        want = _render_or_error(_word_to_string_map_str, w, list_form=list_form,
+                                radix_mark=radix_mark)
+        got = _render_or_error(word_to_string, w, list_form=list_form, radix_mark=radix_mark)
+        assert got == want, (w, list_form, radix_mark)
+
+
+@given(w=words_anywhere, pair=st.sampled_from([(1, 1), (1, 2), (2, 3), (3, 2), (5, 7)]),
+       d=st.integers(min_value=2, max_value=6))
+@example(w=EMPTY_WORD, pair=(2, 3), d=2)
+@example(w=DigitWord((3, 1, 4), 2), pair=(1, 1), d=3)
+@example(w=DigitWord((3, 1, 4), -2), pair=(1, 1), d=2)
+@example(w=DigitWord((3, 1, 4), -2), pair=(2, 3), d=4)
+@example(w=DigitWord((3, 1, 4), 2), pair=(3, 2), d=5)
+@settings(max_examples=300, deadline=None)
+def test_eval_base_depends_only_on_the_reduced_base(w, pair, d):
+    """(db/da)^p = (b/a)^p: a pair and its multiples give the same value,
+    and a = b gives the digit sum."""
+    a, b = pair
+    value = eval_base(w, GameParams(a, b))
+    assert eval_base(w, GameParams(d * a, d * b)) == value
+    if a == b:
+        assert value == w.digit_sum()
