@@ -30,7 +30,9 @@ __all__ = [
     "recover_counts",
     "weighted_sum",
     "firings_from_M",
+    "word_weighted_sum",
     "firings_from_word",
+    "firings_from_weight",
 ]
 
 
@@ -191,20 +193,24 @@ def firings_from_M(state: ChipState) -> int:
     exponent space, where each firing adds a - b; the logged-oracle tests pin
     this sign down.)
     """
-    return _firings(weighted_sum(state), state.params)
+    return firings_from_weight(weighted_sum(state), state.params)
 
 
-def firings_from_word(word: DigitWord, params: GameParams) -> int:
-    """firings_from_M of the state whose string is ``word``, read off the word.
+def word_weighted_sum(word: DigitWord) -> int:
+    """weighted_sum of the state whose string is ``word``, read off the word.
 
     Vertex m holds the digit at position -m, so M = sum(-p * d_p) over the
     word's positions; no ChipState is built.
     """
-    m = sum(map(mul, range(-word.hi, 1 - word.radix), word.digits))
-    return _firings(m, params)
+    return sum(map(mul, range(-word.hi, 1 - word.radix), word.digits))
 
 
-def _firings(m: int, p: GameParams) -> int:
+def firings_from_word(word: DigitWord, params: GameParams) -> int:
+    """firings_from_M of the state whose string is ``word``."""
+    return firings_from_weight(word_weighted_sum(word), params)
+
+
+def firings_from_weight(m: int, p: GameParams) -> int:
     """M / (b - a), refusing a = b and an M that b - a does not divide."""
     if p.a == p.b:
         raise EqualRates("firing count from M is undefined for a == b")

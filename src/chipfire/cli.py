@@ -35,6 +35,7 @@ from .settlements import (
 from .verify import SUITES
 from .words import (
     DigitWord,
+    _compact,
     eval_base,
     render_digits,
     string_to_word,
@@ -74,8 +75,7 @@ def _record(n: int, params: GameParams, word: DigitWord, log: FiringLog | None) 
     if log is not None:
         f0, f1, total = log.fires.get(0, 0), log.fires.get(1, 0), log.total
     else:
-        f0, f1 = final_counts(n, params)
-        total = None if params.a == params.b else analysis.firings_from_word(word, params)
+        f0, f1, total = final_counts(n, params)
     head, tail = word.integer_digits(), word.fraction_digits()
     # S(b/a) = n on every state, so the two side values sum to n: only the
     # part with fewer digits is evaluated, the other side is n minus it.
@@ -85,13 +85,22 @@ def _record(n: int, params: GameParams, word: DigitWord, log: FiringLog | None) 
     else:
         right_value = eval_base(DigitWord.fraction(tail), params)
         left_value = n - right_value
+    # Each part is rendered once; a digit above 9 falls back to the list
+    # forms, whose lone-dot tokens ("14,.", ".,10") depend on the part.
+    head_text, tail_text = _compact(head), _compact(tail)
+    if head_text is None or tail_text is None:
+        state = render_digits(head, tail, True)
+        left = render_digits(head, (), not head)
+        right = render_digits((), tail, True)
+    else:
+        state, left, right = head_text + "." + tail_text, head_text or ".", "." + tail_text
     return {
         "a": params.a,
         "b": params.b,
         "n": n,
-        "state": render_digits(head, tail, True),
-        "left": render_digits(head, (), not head),
-        "right": render_digits((), tail, True),
+        "state": state,
+        "left": left,
+        "right": right,
         "settlement_index": f0 if params.is_structured() else None,
         "left_value_boa": _frac_text(left_value),
         "right_value_boa": _frac_text(right_value),
@@ -132,6 +141,8 @@ def cmd_settlements(args, out) -> int:
     params = GameParams(args.a, args.b)
     params.require_structured()
     fmt = _fmt(args)
+    if args.k < 0:
+        raise InvalidParams("settlement index must be non-negative")
     for k in range(args.k + 1):
         w = settlement(k, params)
         if fmt == "json":

@@ -27,6 +27,7 @@ import threading
 from dataclasses import dataclass
 from itertools import chain
 
+from .analysis import firings_from_weight, word_weighted_sum
 # oracle_states stays importable here because span tracers patch it by module.
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import InvalidParams, NotRegular, WindowFailure
@@ -330,28 +331,36 @@ def _fast_parts(n: int, params: GameParams, prof: PredictorProfile) -> tuple[Dig
     return left, k
 
 
-def final_counts(n: int, params: GameParams) -> tuple[int | None, int | None]:
-    """(f0, f1): origin and origout firing totals for the n-chip game.
+def final_counts(n: int, params: GameParams) -> tuple[int | None, int | None, int | None]:
+    """(f0, f1, total): origin, origout and all firing totals for the n-chip game.
 
     Follows the dispatch of final_state.  Counts carry over from the
-    gcd-reduced game; mirroring keeps the origin count but not the origout
-    one (None); for a == b the final state does not determine them (None).
+    gcd-reduced game, whose firing sequences the lift admits; mirroring keeps
+    the origin count and the total (it negates both M and b - a) but not the
+    origout count (None); for a == b the final state does not determine them
+    (None).  Past H the total is M / (b - a) with the right part's share of
+    M taken from the settlement index, so it costs O(c + log n).
     """
     if n < 0:
         raise InvalidParams("chip count must be non-negative")
     a, b = params.a, params.b
     if a == b:
-        return None, None
+        return None, None, None
     d = params.d
     if d > 1:
         return final_counts(n // d, GameParams(a // d, b // d))
     if a > b:
-        return final_counts(n, GameParams(b, a))[0], None
+        f0, _, total = final_counts(n, GameParams(b, a))
+        return f0, None, total
     prof = profile_for(params)
     if n <= prof.H:
-        return prof.f0_table[n], prof.f1_table[n]
-    _, k = _fast_parts(n, params, prof)
-    return k, k - params.c
+        f0, f1, m = prof.f0_table[n], prof.f1_table[n], word_weighted_sum(prof.table[n])
+    else:
+        left, k = _fast_parts(n, params, prof)
+        # M splits at the origin: the left word's own weighted sum plus the
+        # moment of xi_k, whose first digit sits on vertex 1.
+        f0, f1, m = k, k - params.c, word_weighted_sum(left) + seq_for(params).moment(k)
+    return f0, f1, firings_from_weight(m, params)
 
 
 # ---------------------------------------------------------------------------

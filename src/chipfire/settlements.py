@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from itertools import islice
+from operator import mul
 
 # oracle_states stays importable here because span tracers patch it by module.
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
@@ -146,6 +147,9 @@ class SettlementSeq:
         self.c = params.c
         self.deltas = _delta_tuples(params.a, params.b, self.c)
         self.start = periodic_start(params)
+        self.lead = self.c * (params.b - params.a)
+        # (sum of delta_q, sum of j * delta_q[j]) for each q, j from 0.
+        self._delta_sums = [(sum(d), sum(map(mul, range(len(d)), d))) for d in self.deltas]
         self._words: list[tuple[int, ...]] = [()]
         self._lock = threading.Lock()
 
@@ -155,16 +159,40 @@ class SettlementSeq:
             while len(self._words) <= k:
                 self._words.append(_next_tuple(self._words[-1], a, b))
 
-    def word(self, k: int) -> tuple[int, ...]:
+    def _cached(self, k: int) -> tuple[int, ...]:
+        if len(self._words) <= k:
+            self._extend_to(k)
+        return self._words[k]
+
+    def _periodic(self, k: int) -> tuple[int, int] | None:
+        """(p, q) with k = start + p*c + q past the periodic start, else None."""
         if k < 0:
             raise InvalidParams("settlement index must be non-negative")
         if k <= self.start:
-            if len(self._words) <= k:
-                self._extend_to(k)
-            return self._words[k]
-        p, q = divmod(k - self.start, self.c)
-        lead = self.c * (self.params.b - self.params.a)
-        return (lead,) * (p + 1) + self.deltas[q]
+            return None
+        return divmod(k - self.start, self.c)
+
+    def word(self, k: int) -> tuple[int, ...]:
+        pq = self._periodic(k)
+        if pq is None:
+            return self._cached(k)
+        p, q = pq
+        return (self.lead,) * (p + 1) + self.deltas[q]
+
+    def moment(self, k: int) -> int:
+        """sum(i * r_i) over xi_k = .r_1 r_2 ..., r_1 being the origout digit.
+
+        Past the periodic start the run of p+1 lead digits is an arithmetic
+        series and delta_q starts at position p+2, so this costs O(1) big
+        integer operations however long the word is.
+        """
+        pq = self._periodic(k)
+        if pq is None:
+            word = self._cached(k)
+            return sum(map(mul, range(1, len(word) + 1), word))
+        p, q = pq
+        total, weighted = self._delta_sums[q]
+        return self.lead * (p + 1) * (p + 2) // 2 + (p + 2) * total + weighted
 
     def settlement(self, k: int) -> DigitWord:
         return DigitWord.fraction(self.word(k))

@@ -25,7 +25,7 @@ from .engine import (
     settle_right,
     stabilize,
 )
-from .errors import ChipFiringError
+from .errors import ChipFiringError, InvalidParams
 from .predictor import (
     binary_trick_left,
     elevated_increment,
@@ -171,6 +171,12 @@ def confluence_suite(
     and last) beyond that.  Parameter pairs are independent, so they fan out
     across processes; the aggregated report does not depend on worker order.
     """
+    if max_n < 0:
+        raise InvalidParams(f"max_n must be non-negative, got {max_n}")
+    if check_every < 1:
+        # stabilize reads a cadence of 0 as "unchecked", which would turn the
+        # conservation checks off for every n >= full_check_below.
+        raise InvalidParams(f"check_every must be at least 1, got {check_every}")
     rep = SuiteReport("confluence")
     if pairs is None:
         pairs = coprime_pairs(6)

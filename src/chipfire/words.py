@@ -256,13 +256,19 @@ def word_to_string(
     return render_digits(head, tail, want_dot, list_form)
 
 
-# Digits 0..9 as the bytes of their characters; compact rendering maps a
-# whole digit tuple through this table in one call.
-_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# Digits 0..9 as the bytes of their characters and every other byte as a NUL
+# sentinel; compact rendering maps a whole digit tuple through this table in
+# one call.
+_DIGIT_CHARS = b"0123456789" + bytes(246)
 
 
-def _compact(digits: tuple[int, ...]) -> str:
-    return bytes(digits).translate(_DIGIT_CHARS).decode()
+def _compact(digits: tuple[int, ...]) -> str | None:
+    """The compact text of ``digits``, or None when a digit is above 9."""
+    try:
+        raw = bytes(digits).translate(_DIGIT_CHARS)
+    except ValueError:      # a digit above 255
+        return None
+    return None if b"\0" in raw else raw.decode()
 
 
 def render_digits(head: tuple[int, ...], tail: tuple[int, ...], want_dot: bool,
@@ -273,9 +279,9 @@ def render_digits(head: tuple[int, ...], tail: tuple[int, ...], want_dot: bool,
     Compact form when every digit is at most 9 and list_form allows it.
     """
     if not list_form:
-        if max(head, default=0) <= 9 and max(tail, default=0) <= 9:
-            compact_head = _compact(head)
-            return compact_head + "." + _compact(tail) if want_dot else compact_head
+        compact_head, compact_tail = _compact(head), _compact(tail)
+        if compact_head is not None and compact_tail is not None:
+            return compact_head + "." + compact_tail if want_dot else compact_head
         if list_form is False:
             raise ParseError("compact form cannot express digits above 9")
     head_text = list(map(str, head))

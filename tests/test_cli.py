@@ -244,6 +244,25 @@ def test_final_digits_above_255():
     assert (rec["left_value_boa"], rec["right_value_boa"]) == ("700", "300")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "confluence", "-a", "2", "-b", "3", "--max-n", "60", "--check-every", "0"),
+     "check_every must be at least 1, got 0"),
+    (("verify", "confluence", "-a", "2", "-b", "3", "--check-every", "-5"),
+     "check_every must be at least 1, got -5"),
+    (("verify", "confluence", "--max-n", "-3"), "max_n must be non-negative, got -3"),
+    (("verify", "all", "--max-n", "-3"), "max_n must be non-negative, got -3"),
+    (("settlements", "-a", "2", "-b", "3", "-k", "-1"),
+     "settlement index must be non-negative"),
+])
+def test_out_of_range_inputs_exit_two(argv, message, capsys):
+    # A cadence of 0 used to turn the confluence suite's conservation checks
+    # off past full_check_below and still print PASS; a negative --max-n or
+    # -k printed an empty result with exit 0.
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("half", [("-a", "2"), ("-b", "3")])
 def test_verify_half_pair_exit_two(half, capsys):
     code, out = run_cli("verify", "invariants", *half)
@@ -351,7 +370,7 @@ def _record_three_calls(n, params, word, log):
     if log is not None:
         f0, f1, total = log.fires.get(0, 0), log.fires.get(1, 0), log.total
     else:
-        f0, f1 = final_counts(n, params)
+        f0, f1, _ = final_counts(n, params)
         total = None if params.a == params.b else firings_from_word(word, params)
     left = DigitWord(word.integer_digits(), 0)
     right = DigitWord.fraction(word.fraction_digits())

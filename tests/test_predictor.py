@@ -28,6 +28,7 @@ from chipfire import (
     state_word,
     word_to_string,
 )
+from chipfire.analysis import firings_from_word
 from chipfire.errors import InvalidParams, NotRegular, ScanExhausted, WindowFailure
 from chipfire.predictor import compute_profile, final_counts, profile_for
 
@@ -241,24 +242,43 @@ def test_final_counts_match_logs():
     for a, b in SIX_PAIRS:
         p = GameParams(a, b)
         for n, _, log in oracle_states(p, 150):
-            assert final_counts(n, p) == (log.fires.get(0, 0), log.fires.get(1, 0))
+            assert final_counts(n, p) == (log.fires.get(0, 0), log.fires.get(1, 0), log.total)
 
 
 def test_final_counts_every_dispatch_branch():
-    """gcd > 1 lifts both counts, mirroring keeps only f0, a == b gives none."""
+    """gcd > 1 lifts all three counts, mirroring keeps f0 and the total,
+    a == b gives none."""
     for a, b in [(4, 6), (6, 9), (2, 4), (10, 15)]:
         p = GameParams(a, b)
         for n, _, log in oracle_states(p, 300):
-            assert final_counts(n, p) == (log.fires.get(0, 0), log.fires.get(1, 0))
+            assert final_counts(n, p) == (log.fires.get(0, 0), log.fires.get(1, 0), log.total)
     for a, b in [(3, 2), (5, 3), (6, 4), (2, 1)]:
         p = GameParams(a, b)
         for n, _, log in oracle_states(p, 300):
-            assert final_counts(n, p) == (log.fires.get(0, 0), None)
+            assert final_counts(n, p) == (log.fires.get(0, 0), None, log.total)
     for a in (1, 2, 3):
         for n in range(60):
-            assert final_counts(n, GameParams(a, a)) == (None, None)
+            assert final_counts(n, GameParams(a, a)) == (None, None, None)
     with pytest.raises(InvalidParams):
         final_counts(-1, GameParams(2, 3))
+
+
+# One pair per dispatch branch (a = b, gcd > 1, mirror, coprime a < b), as in
+# test_cli, plus two pairs with a long pre-periodic settlement prefix.
+TOTAL_PAIRS = [(2, 2), (3, 3), (4, 6), (2, 4), (3, 2), (5, 3), (1, 2), (2, 3), (5, 7),
+               (20, 21), (3, 8)]
+
+
+@given(pair=st.sampled_from(TOTAL_PAIRS),
+       n=st.one_of(st.integers(min_value=0, max_value=1200),
+                   st.integers(min_value=0, max_value=10**5)))
+@settings(max_examples=300, deadline=None)
+def test_final_counts_total_matches_digit_sum(pair, n):
+    """The total from the settlement index equals M/(b-a) read off every
+    digit of the final state, on both sides of H ((20, 21) has H = 1071)."""
+    p = GameParams(*pair)
+    expected = None if p.a == p.b else firings_from_word(final_state(n, p), p)
+    assert final_counts(n, p)[2] == expected
 
 
 def test_compute_profile_rejects_unstructured():

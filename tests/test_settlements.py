@@ -124,6 +124,18 @@ def test_closed_form_agrees_with_iteration(a, b):
         assert seq.word(k) == iterated[k]
 
 
+@pytest.mark.parametrize("a,b", STRUCTURED_PAIRS + [(20, 21), (3, 8)])
+def test_moment_matches_digit_sum(a, b):
+    """moment(k) is sum(i * r_i) over xi_k, below, at and past the periodic
+    start."""
+    seq = seq_for(GameParams(a, b))
+    for k in range(seq.start + 3 * seq.c + 1):
+        word = seq.word(k)
+        assert seq.moment(k) == sum(i * r for i, r in enumerate(word, start=1)), (a, b, k)
+    with pytest.raises(InvalidParams):
+        seq.moment(-1)
+
+
 def test_anchor_word_first_occurrence():
     """The anchor word appears first at c(c+3)/2; the tetrahedral index
     Te_c + 1 matches only for c <= 2."""

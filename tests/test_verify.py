@@ -1,6 +1,9 @@
 """Suite-level behavior of the verification harness."""
 
+import pytest
+
 from chipfire import verify
+from chipfire.errors import InvalidParams
 
 
 def test_coprime_pairs():
@@ -16,6 +19,14 @@ def test_confluence_small_grid_single_worker():
     )
     assert rep.ok and rep.checks > 0
     assert rep.lines()[0].startswith("suite confluence:")
+
+
+@pytest.mark.parametrize("kwargs", [{"check_every": 0}, {"check_every": -1}, {"max_n": -3}])
+def test_confluence_refuses_unchecked_cadence_and_negative_max_n(kwargs):
+    # A cadence of 0 would make stabilize skip every conservation check for
+    # n >= full_check_below, and a negative max_n would check nothing.
+    with pytest.raises(InvalidParams):
+        verify.confluence_suite(pairs=[(2, 3)], workers=1, **{"max_n": 10, **kwargs})
 
 
 def test_invariants_suite_clean():

@@ -386,12 +386,16 @@ RENDER_OPTIONS = [(list_form, radix_mark) for list_form in (None, True, False)
                   for radix_mark in ("auto", "always")]
 
 # Words as in words_anywhere, with digits on both sides of the 9/10 boundary
-# between the compact and the list form.
+# between the compact and the list form, digits 48..57 (the bytes of the
+# characters '0'..'9'), the rest of the byte range, and digits past it.
 render_words = st.one_of(
     st.just(EMPTY_WORD),
     st.builds(
         DigitWord,
-        st.lists(st.one_of(st.integers(min_value=0, max_value=40), st.sampled_from([9, 10])),
+        st.lists(st.one_of(st.integers(min_value=0, max_value=40), st.sampled_from([9, 10]),
+                           st.integers(min_value=48, max_value=57),
+                           st.integers(min_value=10, max_value=255),
+                           st.integers(min_value=256, max_value=5000)),
                  min_size=1, max_size=30).map(tuple),
         st.integers(min_value=-40, max_value=12),
     ),
@@ -405,6 +409,10 @@ render_words = st.one_of(
 @example(w=DigitWord((10,), -3))
 @example(w=DigitWord((9, 10), -1))
 @example(w=DigitWord((300, 9, 256, 0, 1000), -3))
+@example(w=DigitWord((48,), 0))
+@example(w=DigitWord((1, 57), -1))
+@example(w=DigitWord((10, 255), 1))
+@example(w=DigitWord((3, 256), -2))
 @settings(max_examples=300, deadline=None)
 def test_word_to_string_matches_map_str_reference(w):
     """Rendering by byte translation equals the per-digit str rendering, for
