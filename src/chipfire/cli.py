@@ -22,9 +22,16 @@ import time
 from fractions import Fraction
 
 from . import analysis
-from .engine import FiringLog, GameParams, new_state, stabilize, stabilize_line
+from .engine import GameParams, new_state, stabilize, stabilize_line
 from .errors import ChipFiringError, InvalidParams, ParseError, ScanExhausted
-from .predictor import final_counts, final_state, profile_for
+# final_counts stays importable here because span tracers patch it by module.
+from .predictor import (  # noqa: F401
+    FinalAnswer,
+    final_answer,
+    final_counts,
+    final_state,
+    profile_for,
+)
 from .settlements import (
     delta_strings,
     dormant_census,
@@ -35,9 +42,11 @@ from .settlements import (
 from .verify import SUITES
 from .words import (
     DigitWord,
-    _compact,
+    compact_segments,
     eval_base,
     render_digits,
+    segment_digits,
+    segment_length,
     string_to_word,
     to_base,
     word_to_string,
@@ -70,25 +79,33 @@ def _frac_text(x: Fraction) -> str:
     return str(x)
 
 
-def _record(n: int, params: GameParams, word: DigitWord, log: FiringLog | None) -> dict:
-    """The JSON record of one final state; ``log`` is the oracle's, if any."""
-    if log is not None:
-        f0, f1, total = log.fires.get(0, 0), log.fires.get(1, 0), log.total
-    else:
-        f0, f1, total = final_counts(n, params)
-    head, tail = word.integer_digits(), word.fraction_digits()
+def _answer_text(answer: FinalAnswer, fmt: str) -> str:
+    """_state_text of the answer's state: compact straight from its segments,
+    else the list form of its materialized digits."""
+    if fmt != "list":
+        head, tail = compact_segments(answer.head), compact_segments(answer.tail)
+        if head is not None and tail is not None:
+            return head + "." + tail
+    return render_digits(segment_digits(answer.head), segment_digits(answer.tail), True, True)
+
+
+def _record(n: int, params: GameParams, answer: FinalAnswer) -> dict:
+    """The JSON record of one final state."""
+    f0, f1, total = answer.counts()
     # S(b/a) = n on every state, so the two side values sum to n: only the
-    # part with fewer digits is evaluated, the other side is n minus it.
-    if len(head) <= len(tail):
-        left_value = eval_base(DigitWord(head, 0), params)
+    # part with fewer digits is materialized and evaluated, the other side
+    # is n minus it.
+    if segment_length(answer.head) <= segment_length(answer.tail):
+        left_value = eval_base(DigitWord(segment_digits(answer.head), 0), params)
         right_value = n - left_value
     else:
-        right_value = eval_base(DigitWord.fraction(tail), params)
+        right_value = eval_base(DigitWord.fraction(segment_digits(answer.tail)), params)
         left_value = n - right_value
     # Each part is rendered once; a digit above 9 falls back to the list
     # forms, whose lone-dot tokens ("14,.", ".,10") depend on the part.
-    head_text, tail_text = _compact(head), _compact(tail)
+    head_text, tail_text = compact_segments(answer.head), compact_segments(answer.tail)
     if head_text is None or tail_text is None:
+        head, tail = segment_digits(answer.head), segment_digits(answer.tail)
         state = render_digits(head, tail, True)
         left = render_digits(head, (), not head)
         right = render_digits((), tail, True)
@@ -110,6 +127,13 @@ def _record(n: int, params: GameParams, word: DigitWord, log: FiringLog | None) 
     }
 
 
+def _oracle_answer(n: int, params: GameParams) -> FinalAnswer:
+    """The answer by simulation, with the counts read off the firing log."""
+    state, log = stabilize(new_state(n, params))
+    return FinalAnswer.explicit(analysis.state_word(state), log.fires.get(0, 0),
+                                log.fires.get(1, 0), lambda: log.total)
+
+
 def cmd_final(args, out) -> int:
     params = GameParams(args.a, args.b)
     fmt = _fmt(args)
@@ -124,16 +148,13 @@ def cmd_final(args, out) -> int:
         if args.n is None:
             raise InvalidParams("final needs N or --range")
         ns = [args.n]
+    answer_for = _oracle_answer if args.oracle else final_answer
     for n in ns:
-        if args.oracle:
-            state, log = stabilize(new_state(n, params))
-            word = analysis.state_word(state)
-        else:
-            word, log = final_state(n, params), None
+        answer = answer_for(n, params)
         if fmt == "json":
-            print(json.dumps(_record(n, params, word, log)), file=out)
+            print(json.dumps(_record(n, params, answer)), file=out)
         else:
-            print(_state_text(word, fmt), file=out)
+            print(_answer_text(answer, fmt), file=out)
     return 0
 
 
@@ -259,6 +280,8 @@ def cmd_verify(args, out) -> int:
         if pairs is not None:
             raise InvalidParams("verify takes -a/-b or --params-grid, not both")
         pairs = [(args.a, args.b)]
+    if args.workers is not None and args.workers < 1:
+        raise InvalidParams(f"workers must be at least 1, got {args.workers}")
     seeds = None if args.seed is None else (args.seed, args.seed + 1, args.seed + 2)
     given = {
         key: value

@@ -212,6 +212,20 @@ class _Buffer:
         self.hi = hi0 + self.off
         self.total = 0
 
+    def recenter(self, n: int) -> None:
+        """Re-allocate for every state of the n-chip game started at the
+        origin, that is for vertices -n..n, keeping chips and firing counts.
+
+        Expects the support to lie within that range already.
+        """
+        shift = n + 1 - self.off
+        lo, hi = self.lo, self.hi
+        buf, fcount = [0] * (2 * n + 3), [0] * (2 * n + 3)
+        buf[lo + shift : hi + shift + 1] = self.buf[lo : hi + 1]
+        fcount[lo + shift : hi + shift + 1] = self.fcount[lo : hi + 1]
+        self.buf, self.fcount = buf, fcount
+        self.off, self.lo, self.hi = n + 1, lo + shift, hi + shift
+
     def check_bound(self) -> None:
         if not (1 <= self.lo and self.hi <= len(self.buf) - 2):
             raise InvariantViolation("support escaped the [lo-n, hi+n] bound")
@@ -473,6 +487,10 @@ def increment_origin(state: ChipState) -> ChipState:
     return out
 
 
+# The chip count _increments first sizes its buffer for.
+_FIRST_CAPACITY = 64
+
+
 def _increments(params: GameParams, n_max: int):
     """Yield (n, buffer) for n = 0..n_max, adding one chip at the origin and
     re-stabilizing between steps.
@@ -485,14 +503,21 @@ def _increments(params: GameParams, n_max: int):
     game.
     """
     T, a, b = params.threshold, params.a, params.b
-    # Sized for the n_max-chip game; its chips arrive one at a time.
-    bb = _Buffer(new_state(n_max, params))
+    # Sized for a game of ``cap`` chips and doubled when n outgrows it: adding
+    # chips one at a time is a schedule of the n-chip game, so every state on
+    # the way stays within vertices -n..n (see _Buffer).
+    cap = min(n_max, _FIRST_CAPACITY)
+    bb = _Buffer(new_state(cap, params))
     buf, off = bb.buf, bb.off
     buf[off] = 0
     for n in range(n_max + 1):
         # Only the origin can cross the threshold on an increment, so the
         # scan is skipped when it stays below.
         if n > 0:
+            if n > cap:
+                cap = min(2 * cap, n_max)
+                bb.recenter(cap)
+                buf, off = bb.buf, bb.off
             buf[off] += 1
             if buf[off] >= T:
                 _scan(bb, T, a, b, off, 1, 0, None)

@@ -26,19 +26,23 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import chain
+from typing import Callable, NamedTuple
 
 from .analysis import firings_from_weight, word_weighted_sum
 # oracle_states stays importable here because span tracers patch it by module.
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import InvalidParams, NotRegular, WindowFailure
 from .settlements import balanced_B, seq_for
-from .words import DigitWord, EMPTY_WORD
+from .words import DigitWord, EMPTY_WORD, Run, segment_digits
 
 __all__ = [
     "PredictorProfile",
     "compute_profile",
     "profile_for",
+    "FinalAnswer",
+    "final_answer",
     "final_state",
+    "final_counts",
     "aa_final",
     "lift_noncoprime",
     "mirror_word",
@@ -292,30 +296,125 @@ def profile_for(params: GameParams, check_window: int = 50) -> PredictorProfile:
     return prof
 
 
+class FinalAnswer(NamedTuple):
+    """The final state of one game and its firing counts, as final_answer gives them.
+
+    ``head`` holds the digits at positions hi..0 and ``tail`` those at -1,
+    -2, ..., each as segments (digit tuples and Runs, see words.Run).  Past H
+    the tail is (Run(c(b-a), p+1), delta_q), so the answer's size is
+    O(c + log n) however long the state is.  f0 and f1 are the origin and
+    origout firing counts, None where the dispatch does not define them, and
+    ``total_of()`` computes the total firing count only when asked.
+    """
+
+    head: tuple
+    tail: tuple
+    f0: int | None
+    f1: int | None
+    total_of: Callable[[], int | None]
+
+    @classmethod
+    def explicit(cls, word: DigitWord, f0, f1, total_of) -> "FinalAnswer":
+        """The answer for a state given as a word spanning the origin."""
+        head, tail = word.integer_digits(), word.fraction_digits()
+        return cls((head,) if head else (), (tail,) if tail else (), f0, f1, total_of)
+
+    def word(self) -> DigitWord:
+        head, tail = segment_digits(self.head), segment_digits(self.tail)
+        return DigitWord(head + tail, -len(tail))
+
+    def counts(self) -> tuple[int | None, int | None, int | None]:
+        return self.f0, self.f1, self.total_of()
+
+
+def final_answer(n: int, params: GameParams) -> FinalAnswer:
+    """The final state of n chips at the origin and its firing counts.
+
+    One dispatch: a == b has a closed form; gcd(a, b) = d > 1 lifts the
+    reduced game's answer (its firing sequences are admitted, so the counts
+    carry over); a > b mirrors the (b, a) answer, which keeps the origin
+    count and the total (M and b - a both change sign) but not the origout
+    count; coprime a < b reads the certified table up to H and the structure
+    theory past it, where the total is M / (b - a) with the right part's
+    share of M taken from the settlement index, in O(c + log n).
+    """
+    if n < 0:
+        raise InvalidParams("chip count must be non-negative")
+    a, b = params.a, params.b
+    if a == b:
+        # The final state does not determine the firing counts.
+        return FinalAnswer.explicit(aa_final(n, a), None, None, lambda: None)
+    d = params.d
+    if d > 1:
+        p, q = divmod(n, d)
+        return _lift(final_answer(p, GameParams(a // d, b // d)), d, q)
+    if a > b:
+        return _mirror(final_answer(n, GameParams(b, a)))
+    prof = profile_for(params)
+    if n <= prof.H:
+        word = prof.table[n]
+        return FinalAnswer.explicit(
+            word, prof.f0_table[n], prof.f1_table[n],
+            lambda: firings_from_weight(word_weighted_sum(word), params),
+        )
+    left, k = _fast_parts(n, params, prof)
+    seq = seq_for(params)
+    # M splits at the origin: the left word's own weighted sum plus the
+    # moment of xi_k, whose first digit sits on vertex 1.
+    return FinalAnswer(
+        (left.digits,), seq.segments(k), k, k - params.c,
+        lambda: firings_from_weight(word_weighted_sum(left) + seq.moment(k), params),
+    )
+
+
+def _split_origin(head: tuple) -> tuple[tuple, int]:
+    """(head without its last digit, that digit, the one at position 0)."""
+    *rest, last = head
+    if type(last) is Run:
+        if last.count > 1:
+            rest.append(Run(last.digit, last.count - 1))
+        return tuple(rest), last.digit
+    if len(last) > 1:
+        rest.append(last[:-1])
+    return tuple(rest), last[-1]
+
+
+def _lift(answer: FinalAnswer, d: int, q: int) -> FinalAnswer:
+    """lift_noncoprime on an answer: every digit times d, plus q at the origin."""
+    def scale(segments):
+        return tuple(Run(seg.digit * d, seg.count) if type(seg) is Run
+                     else tuple([x * d for x in seg]) for seg in segments)
+
+    rest, origin = _split_origin(scale(answer.head))
+    return answer._replace(head=rest + ((origin + q,),), tail=scale(answer.tail))
+
+
+def _mirror(answer: FinalAnswer) -> FinalAnswer:
+    """mirror_word on an answer: the tail reversed becomes the head, ending
+    at the origin digit, and the rest of the head reversed the tail."""
+    def reverse(segments):
+        return tuple(seg if type(seg) is Run else seg[::-1] for seg in reversed(segments))
+
+    rest, origin = _split_origin(answer.head)
+    return answer._replace(head=reverse(answer.tail) + ((origin,),), tail=reverse(rest),
+                           f1=None)
+
+
 def final_state(n: int, params: GameParams) -> DigitWord:
     """The final state of n chips at the origin, as a canonical state word.
 
     Equals the engine's stabilization digit for digit, but runs in closed
     form past the certified threshold.
     """
-    if n < 0:
-        raise InvalidParams("chip count must be non-negative")
-    a, b = params.a, params.b
-    if a == b:
-        return aa_final(n, a)
-    d = params.d
-    if d > 1:
-        reduced = GameParams(a // d, b // d)
-        p, q = divmod(n, d)
-        return lift_noncoprime(final_state(p, reduced), d, q)
-    if a > b:
-        return mirror_word(final_state(n, GameParams(b, a)))
-    prof = profile_for(params)
-    if n <= prof.H:
-        return prof.table[n]
-    left, k = _fast_parts(n, params, prof)
-    right = seq_for(params).word(k)
-    return DigitWord(left.digits + right, -len(right))
+    return final_answer(n, params).word()
+
+
+def final_counts(n: int, params: GameParams) -> tuple[int | None, int | None, int | None]:
+    """(f0, f1, total): origin, origout and all firing totals for the n-chip game.
+
+    The counts of final_answer: None for a == b, f1 None under the mirror.
+    """
+    return final_answer(n, params).counts()
 
 
 def _fast_parts(n: int, params: GameParams, prof: PredictorProfile) -> tuple[DigitWord, int]:
@@ -329,38 +428,6 @@ def _fast_parts(n: int, params: GameParams, prof: PredictorProfile) -> tuple[Dig
     if r or k < 0:
         raise WindowFailure(f"inconsistent settlement index at n={n}")
     return left, k
-
-
-def final_counts(n: int, params: GameParams) -> tuple[int | None, int | None, int | None]:
-    """(f0, f1, total): origin, origout and all firing totals for the n-chip game.
-
-    Follows the dispatch of final_state.  Counts carry over from the
-    gcd-reduced game, whose firing sequences the lift admits; mirroring keeps
-    the origin count and the total (it negates both M and b - a) but not the
-    origout count (None); for a == b the final state does not determine them
-    (None).  Past H the total is M / (b - a) with the right part's share of
-    M taken from the settlement index, so it costs O(c + log n).
-    """
-    if n < 0:
-        raise InvalidParams("chip count must be non-negative")
-    a, b = params.a, params.b
-    if a == b:
-        return None, None, None
-    d = params.d
-    if d > 1:
-        return final_counts(n // d, GameParams(a // d, b // d))
-    if a > b:
-        f0, _, total = final_counts(n, GameParams(b, a))
-        return f0, None, total
-    prof = profile_for(params)
-    if n <= prof.H:
-        f0, f1, m = prof.f0_table[n], prof.f1_table[n], word_weighted_sum(prof.table[n])
-    else:
-        left, k = _fast_parts(n, params, prof)
-        # M splits at the origin: the left word's own weighted sum plus the
-        # moment of xi_k, whose first digit sits on vertex 1.
-        f0, f1, m = k, k - params.c, word_weighted_sum(left) + seq_for(params).moment(k)
-    return f0, f1, firings_from_weight(m, params)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from operator import mul
 # oracle_states stays importable here because span tracers patch it by module.
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import CensusMismatch, InvalidParams, ScanExhausted
-from .words import DigitWord
+from .words import DigitWord, Run, segment_digits
 
 __all__ = [
     "triangular",
@@ -173,11 +173,17 @@ class SettlementSeq:
         return divmod(k - self.start, self.c)
 
     def word(self, k: int) -> tuple[int, ...]:
+        return segment_digits(self.segments(k))
+
+    def segments(self, k: int) -> tuple:
+        """xi_k as segments: (Run(lead, p+1), delta_q) past the periodic start,
+        else the cached word (no segment when it is empty)."""
         pq = self._periodic(k)
         if pq is None:
-            return self._cached(k)
+            word = self._cached(k)
+            return (word,) if word else ()
         p, q = pq
-        return (self.lead,) * (p + 1) + self.deltas[q]
+        return (Run(self.lead, p + 1), self.deltas[q])
 
     def moment(self, k: int) -> int:
         """sum(i * r_i) over xi_k = .r_1 r_2 ..., r_1 being the origout digit.

@@ -21,6 +21,7 @@ from .engine import (
     FiringStrategy,
     GameParams,
     new_state,
+    oracle_rows,
     oracle_states,
     settle_right,
     stabilize,
@@ -177,6 +178,8 @@ def confluence_suite(
         # stabilize reads a cadence of 0 as "unchecked", which would turn the
         # conservation checks off for every n >= full_check_below.
         raise InvalidParams(f"check_every must be at least 1, got {check_every}")
+    if workers is not None and workers < 1:
+        raise InvalidParams(f"workers must be at least 1, got {workers}")
     rep = SuiteReport("confluence")
     if pairs is None:
         pairs = coprime_pairs(6)
@@ -187,7 +190,9 @@ def confluence_suite(
     if workers is None:
         import os
 
-        workers = min(len(jobs), os.cpu_count() or 1)
+        workers = os.cpu_count() or 1
+    # One process per pair at most: more would only sit idle.
+    workers = min(workers, len(jobs))
     if workers > 1:
         import multiprocessing
 
@@ -334,13 +339,11 @@ def predictor_suite(
         ac = a * p.c
         prev_diff = 0
         prev_f0 = -1
-        for n, state, log in oracle_states(p, max_n):
+        for n, left, right, f0, f1 in oracle_rows(p, max_n):
             rep.check(
-                final_state(n, p) == analysis.state_word(state),
+                final_state(n, p) == DigitWord(left + right, -len(right)),
                 f"a={a} b={b} n={n}: fast path differs from oracle",
             )
-            f0 = log.fires.get(0, 0)
-            f1 = log.fires.get(1, 0)
             diff = f0 - f1
             rep.check(
                 diff >= prev_diff and f0 >= prev_f0,
@@ -348,9 +351,9 @@ def predictor_suite(
             )
             prev_diff, prev_f0 = diff, f0
             if prof.B <= n <= prof.B + value_window:
-                left, right = analysis.split(state)
                 rep.check(
-                    eval_base(right, p) == ac and eval_base(left, p) == n - ac,
+                    eval_base(DigitWord.fraction(right), p) == ac
+                    and eval_base(DigitWord(left, 0), p) == n - ac,
                     f"a={a} b={b} n={n}: stabilized side values off (a*c={ac})",
                 )
             if n >= prof.B:

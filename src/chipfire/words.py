@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .engine import GameParams
 from .errors import InvalidBase, ParseError
@@ -26,6 +27,10 @@ __all__ = [
     "explode_normalize",
     "word_to_string",
     "render_digits",
+    "Run",
+    "segment_digits",
+    "segment_length",
+    "compact_segments",
     "string_to_word",
 ]
 
@@ -269,6 +274,51 @@ def _compact(digits: tuple[int, ...]) -> str | None:
     except ValueError:      # a digit above 255
         return None
     return None if b"\0" in raw else raw.decode()
+
+
+class Run(NamedTuple):
+    """``count`` copies of ``digit``, as one segment of a digit sequence."""
+
+    digit: int
+    count: int
+
+
+# A digit sequence given in segments: each is a digit tuple or a Run, so a long
+# run of one digit costs O(1) until it is rendered.
+
+
+def segment_digits(segments: tuple) -> tuple[int, ...]:
+    """The digits of a segment sequence, materialized."""
+    if len(segments) == 1 and type(segments[0]) is not Run:
+        return segments[0]
+    digits: tuple[int, ...] = ()
+    for seg in segments:
+        digits += (seg.digit,) * seg.count if type(seg) is Run else seg
+    return digits
+
+
+def segment_length(segments: tuple) -> int:
+    return sum(seg.count if type(seg) is Run else len(seg) for seg in segments)
+
+
+def compact_segments(segments: tuple) -> str | None:
+    """The compact text of a segment sequence, or None when a digit is above 9.
+
+    A run renders as one repeated character, so only the digit tuples are
+    translated digit by digit.
+    """
+    parts = []
+    for seg in segments:
+        if type(seg) is Run:
+            if seg.digit > 9:
+                return None
+            parts.append(chr(48 + seg.digit) * seg.count)
+        else:
+            text = _compact(seg)
+            if text is None:
+                return None
+            parts.append(text)
+    return "".join(parts)
 
 
 def render_digits(head: tuple[int, ...], tail: tuple[int, ...], want_dot: bool,

@@ -1,5 +1,6 @@
 """CLI surface: output formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chipfire.cli import RECORD_FIELDS, main
 
@@ -263,6 +265,18 @@ def test_out_of_range_inputs_exit_two(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "confluence", "-a", "2", "-b", "3", "--max-n", "5", "--workers", "0"),
+    ("verify", "predictor", "--max-n", "5", "--workers", "-3"),
+    ("verify", "all", "--max-n", "5", "--workers", "0"),
+])
+def test_verify_refuses_workers_below_one(argv, capsys):
+    code, out = run_cli(*argv)
+    workers = argv[-1]
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
+
+
 @pytest.mark.parametrize("half", [("-a", "2"), ("-b", "3")])
 def test_verify_half_pair_exit_two(half, capsys):
     code, out = run_cli("verify", "invariants", *half)
@@ -439,11 +453,104 @@ def test_record_evaluates_only_the_shorter_part(a, b, monkeypatch):
 def test_record_lone_dot_forms():
     from chipfire import DigitWord, GameParams
     from chipfire.cli import _record
+    from chipfire.predictor import FinalAnswer
 
-    rec = _record(0, GameParams(20, 21), DigitWord((14, 10), -1), None)
+    def answer(word):
+        return FinalAnswer.explicit(word, 0, 0, lambda: 0)
+
+    rec = _record(0, GameParams(20, 21), answer(DigitWord((14, 10), -1)))
     assert (rec["state"], rec["left"], rec["right"]) == ("14,.,10", "14,.", ".,10")
-    rec = _record(0, GameParams(20, 21), DigitWord((14, 3, 2), -2), None)
+    rec = _record(0, GameParams(20, 21), answer(DigitWord((14, 3, 2), -2)))
     assert (rec["state"], rec["left"], rec["right"]) == ("14.3,2", "14,.", ".32")
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (5, 7), (3, 2), (5, 3), (4, 6), (2, 4)])
+def test_json_record_runs_one_dispatch(a, b, monkeypatch):
+    """A record past H finds its left word once: the state and the firing
+    counts come from the same answer (the mirror and the gcd lift too)."""
+    import chipfire.predictor as predictor
+    from chipfire import GameParams
+
+    d = GameParams(a, b).d
+    base = GameParams(*sorted((a // d, b // d)))
+    first = d * (predictor.profile_for(base).H + 1)    # the first n past H
+    calls = []
+    real = predictor.left_regular_word
+
+    def counting(value, params):
+        calls.append(value)
+        return real(value, params)
+
+    monkeypatch.setattr(predictor, "left_regular_word", counting)
+    for n in (first, first + 1, 10**4, 10**5):
+        calls.clear()
+        assert run_cli("final", str(n), "-a", str(a), "-b", str(b), "--json")[0] == 0
+        assert len(calls) == 1, (a, b, n)
+    calls.clear()
+    code, out = run_cli("final", "-a", str(a), "-b", str(b), "--range", str(first),
+                        str(first + 40), "--json")
+    assert code == 0 and len(calls) == len(out.splitlines()) == 41
+
+
+RENDER_PAIRS = sorted(set(BRANCH_PAIRS) | {(20, 21), (3, 8), (6, 9), (9, 6), (10, 15)})
+
+
+@given(pair=st.sampled_from(RENDER_PAIRS),
+       n=st.one_of(st.integers(min_value=0, max_value=1500),
+                   st.integers(min_value=0, max_value=10**5)))
+@example(pair=(20, 21), n=1071)
+@example(pair=(20, 21), n=1072)
+@example(pair=(1, 2), n=10**5)
+@example(pair=(9, 6), n=10**5)
+@example(pair=(10, 15), n=10**5 - 1)
+@settings(max_examples=150, deadline=None)
+def test_final_renders_like_the_materialized_word(pair, n):
+    """Text rendered from the answer's segments (runs included) and the JSON
+    record equal the renderers applied to the materialized state, on every
+    dispatch branch, on both sides of H ((20, 21) has H = 1071), and with
+    digits above 9 ((6, 9), (9, 6) and (10, 15))."""
+    from chipfire import GameParams, final_state
+    from chipfire.cli import _state_text
+
+    a, b = pair
+    p = GameParams(a, b)
+    word = final_state(n, p)
+    argv = ("final", str(n), "-a", str(a), "-b", str(b))
+    assert run_cli(*argv) == (0, _state_text(word, "compact") + "\n")
+    assert run_cli(*argv, "--format", "list") == (0, _state_text(word, "list") + "\n")
+    record = _record_three_calls(n, p, word, None)
+    assert run_cli(*argv, "--json") == (0, json.dumps(record) + "\n")
+
+
+# sha256 of stdout, fixed before `final` rendered from segments, so that
+# every later change keeps these long outputs byte for byte.
+GOLDEN_SHA256 = {
+    "final 100000 -a 2 -b 3":
+        "7611118dc4114a224ed7548876f37ef9dc2942b3fb017c83b6fffaf0225fef7f",
+    "final 100000 -a 2 -b 3 --json":
+        "110fff90139b8667d86bf4947fcfad7854ca49eb3258de401f8b8207b51ad1b7",
+    "final 30000 -a 3 -b 2":
+        "f25e2d3e557e0461ca680b4c75b62d32e535072d03477b02eea7dfd2f189792f",
+    "final 30000 -a 3 -b 2 --json":
+        "3a50e21fda622d046d2faad6d07cd52b9cf9b7f0cf1b729315ec2d99aabb2ae4",
+    "final 30000 -a 4 -b 6":
+        "f79ef2748551afa0f259ed141a8e4aef6b6824767e04e7ce93f8f2089a6cc76c",
+    "final 30000 -a 4 -b 6 --json":
+        "ba29aa1f761ac97c60e99a780641e7150404f0e264cd1e608b763ec47978d2a1",
+    "final 30000 -a 1 -b 2":
+        "fd946d1f4119c4763dfa9050b5f7c7304b51efafafcbe292113a619571423ae3",
+    "final 30000 -a 1 -b 2 --json":
+        "b2a1ea5fdc6727fb7183e57cc1ea830ffbe9ce6d6f495e980a36e24b5675a6e6",
+    "final 1000 -a 6 -b 9 --format list":
+        "841147af05d4d05e09d74aa527c700f9b63cb06613cc01308487bc883161ac5f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_long_outputs_keep_their_bytes(command):
+    code, out = run_cli(*command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
 
 
 PROFILE_20_21_DELTAS = [

@@ -322,3 +322,29 @@ def test_stabilize_line_other_params():
         line_state, line_log = stabilize_line(500, p)
         ref_state, ref_log = stabilize(new_state(500, p))
         assert line_state == ref_state and line_log == ref_log
+
+
+# One pair per dispatch branch (a = b, gcd > 1, mirror, coprime a < b), as in
+# test_cli.
+BRANCH_PAIRS = [(2, 2), (3, 3), (4, 6), (2, 4), (3, 2), (5, 3), (1, 2), (2, 3), (5, 7)]
+
+
+@pytest.mark.parametrize("a,b", BRANCH_PAIRS)
+def test_oracle_views_match_stabilize_across_buffer_growth(a, b):
+    """The incremental buffer starts small and doubles when n outgrows it;
+    rows and states on both sides of every re-allocation equal a fresh
+    stabilization."""
+    p = GameParams(a, b)
+    first = engine._FIRST_CAPACITY
+    n_max = 4 * first + 3                  # grows at first+1, 2*first+1, 4*first+1
+    near = {n for cap in (first, 2 * first, 4 * first) for n in range(cap - 2, cap + 4)}
+    near |= {0, 1, n_max}
+    for (n, left, right, f0, f1), (_, state, log) in zip(oracle_rows(p, n_max),
+                                                          oracle_states(p, n_max)):
+        if n not in near:
+            continue
+        want_state, want_log = stabilize(new_state(n, p))
+        assert (state, log) == (want_state, want_log), (a, b, n)
+        want_left, want_right = split(want_state)
+        assert (left, right) == (want_left.digits, want_right.fraction_digits()), (a, b, n)
+        assert (f0, f1) == (want_log.fires.get(0, 0), want_log.fires.get(1, 0)), (a, b, n)

@@ -3,7 +3,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chipfire import (
     DigitWord,
@@ -30,7 +30,7 @@ from chipfire import (
 )
 from chipfire.analysis import firings_from_word
 from chipfire.errors import InvalidParams, NotRegular, ScanExhausted, WindowFailure
-from chipfire.predictor import compute_profile, final_counts, profile_for
+from chipfire.predictor import compute_profile, final_answer, final_counts, profile_for
 
 SIX_PAIRS = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]
 
@@ -118,6 +118,40 @@ def test_lift_matches_simulation():
         for n in range(0, 201):
             sim, _ = stabilize(new_state(n, p))
             assert final_state(n, p) == state_word(sim), f"({a},{b}) n={n}"
+
+
+chip_counts = st.one_of(st.integers(min_value=0, max_value=1500),
+                        st.integers(min_value=0, max_value=10**5))
+
+
+@given(pair=st.sampled_from([(3, 2), (5, 3), (2, 1), (7, 5), (8, 3), (21, 20)]),
+       n=chip_counts)
+@example(pair=(21, 20), n=1072)
+@example(pair=(3, 2), n=10**5)
+@settings(max_examples=150, deadline=None)
+def test_mirrored_answer_is_mirror_word_of_the_reduced_answer(pair, n):
+    """The mirror transform on segments equals mirror_word on the digits,
+    on both sides of H ((20, 21) has H = 1071); f1 is dropped."""
+    a, b = pair
+    reduced = final_answer(n, GameParams(b, a))
+    assert final_state(n, GameParams(a, b)) == mirror_word(reduced.word())
+    f0, _, total = reduced.counts()
+    assert final_counts(n, GameParams(a, b)) == (f0, None, total)
+
+
+@given(pair=st.sampled_from([(4, 6), (2, 4), (6, 9), (10, 15), (6, 4), (9, 6), (40, 42)]),
+       n=chip_counts)
+@example(pair=(40, 42), n=2 * 1072 + 1)
+@example(pair=(9, 6), n=10**5)
+@settings(max_examples=150, deadline=None)
+def test_lifted_answer_is_lift_noncoprime_of_the_reduced_answer(pair, n):
+    """The gcd lift on segments (runs included, and mirrored answers for
+    (6, 4) and (9, 6)) equals lift_noncoprime on the digits."""
+    p = GameParams(*pair)
+    d = p.d
+    reduced = GameParams(p.a // d, p.b // d)
+    assert final_state(n, p) == lift_noncoprime(final_answer(n // d, reduced).word(), d, n % d)
+    assert final_counts(n, p) == final_counts(n // d, reduced)
 
 
 def _lift_per_position(w, d, q):

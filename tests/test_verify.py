@@ -72,3 +72,49 @@ def test_run_suite_dispatch():
     ]
     with pytest.raises(KeyError):
         verify.run_suite("nonexistent")
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the process count asked
+    for and maps in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return list(map(fn, jobs))
+
+
+# workers=None takes the CPU count, capped the same way.
+@pytest.mark.parametrize("workers", [500, 2, None])
+def test_confluence_caps_the_pool_at_one_process_per_pair(workers, monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    kwargs = dict(max_n=12, pairs=[(1, 2), (2, 3)], seeds=(5,), full_check_below=4)
+    rep = verify.confluence_suite(workers=workers, **kwargs)
+    serial = verify.confluence_suite(workers=1, **kwargs)
+    assert _RecordingPool.sizes == [2]
+    assert (rep.checks, rep.failures) == (serial.checks, serial.failures)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_confluence_refuses_workers_below_one(workers, monkeypatch):
+    # 0 and negative counts used to fall through to a silent serial run.
+    import multiprocessing
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    with pytest.raises(InvalidParams, match=f"workers must be at least 1, got {workers}"):
+        verify.confluence_suite(max_n=5, pairs=[(2, 3)], workers=workers)
+    assert _RecordingPool.sizes == []

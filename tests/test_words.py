@@ -18,6 +18,7 @@ from chipfire import (
     word_to_string,
 )
 from chipfire.errors import InvalidBase, ParseError
+from chipfire.words import Run, compact_segments, segment_digits, segment_length
 
 P23 = GameParams(2, 3)
 
@@ -440,3 +441,29 @@ def test_eval_base_depends_only_on_the_reduced_base(w, pair, d):
     assert eval_base(w, GameParams(d * a, d * b)) == value
     if a == b:
         assert value == w.digit_sum()
+
+
+segment_lists = st.lists(
+    st.one_of(
+        st.lists(st.integers(min_value=0, max_value=12), max_size=5).map(tuple),
+        st.builds(Run, st.integers(min_value=0, max_value=12),
+                  st.integers(min_value=1, max_value=6)),
+    ),
+    max_size=4,
+).map(tuple)
+
+
+@given(segments=segment_lists)
+@example(segments=(Run(10, 2),))
+@example(segments=(Run(9, 3), (1, 2)))
+@example(segments=())
+@settings(max_examples=200, deadline=None)
+def test_segments_match_their_digits(segments):
+    """Length, digits and compact text of a segment sequence agree with the
+    run-expanded digit tuple; a run of a digit above 9 has no compact text."""
+    digits = tuple(d for seg in segments
+                   for d in ((seg.digit,) * seg.count if type(seg) is Run else seg))
+    assert segment_digits(segments) == digits
+    assert segment_length(segments) == len(digits)
+    expected = "".join(map(str, digits)) if all(d <= 9 for d in digits) else None
+    assert compact_segments(segments) == expected
