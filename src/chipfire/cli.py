@@ -319,9 +319,11 @@ def cmd_bench(args, out) -> int:
     if not grid or any(n < 0 for n in grid):
         raise InvalidParams(f"bad bench grid {args.grid!r}")
     # Warm up outside the timed region: numpy import and, for structured
-    # pairs, the one-off profile certification.
+    # pairs, the one-off profile certification.  The answer is not
+    # materialized, so a grid too large for the oracle's buffer is refused
+    # there, before any state is built.
     stabilize_line(params.threshold, params)
-    final_state(min(grid), params)
+    final_answer(min(grid), params)
     print(f"a={params.a} b={params.b}", file=out)
     print(f"{'n':>10}  {'oracle_s':>10}  {'fast_s':>10}  match", file=out)
     worst_ratio = None
@@ -346,6 +348,11 @@ def cmd_bench(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and the {subcommand: parser} map its subparsers action holds."""
     ap = argparse.ArgumentParser(
         prog="chipfire",
         description="Exact chip-firing laboratory on the integer line",
@@ -397,19 +404,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="comma-separated n values")
     p.set_defaults(fn=cmd_bench)
 
-    return ap
+    return ap, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser() once per process; each parse_args still makes a fresh
-    Namespace, so no option leaks from one call into the next."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """_build() once per process; each parse still makes a fresh Namespace,
+    so no option leaks from one call into the next."""
+    return _build()
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """What the full parser's parse_args(argv) gives, in one argparse pass
+    when argv starts with a subcommand: that subcommand's parser, the object
+    the full parser would delegate to, parses the rest."""
+    argv = sys.argv[1:] if argv is None else argv
+    full, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    # No arguments, a leading option, an unknown command or unrecognized
+    # tokens: the full parser gives the top-level help, usage and errors.
+    return full.parse_args(argv)
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.fn(args, out)
     except (InvalidParams, ParseError, ScanExhausted) as exc:

@@ -189,6 +189,17 @@ def fire(state: ChipState, v: int) -> ChipState:
 # ---------------------------------------------------------------------------
 
 
+def _cells(size: int, n: int) -> tuple[list[int], list[int]]:
+    """The chip and firing-count lists of a buffer for the n-chip game, or a
+    refusal when they do not fit in memory."""
+    try:
+        return [0] * size, [0] * size
+    except MemoryError:
+        raise InvalidParams(
+            f"n={n} needs an oracle buffer of {size} cells, more than memory holds"
+        ) from None
+
+
 class _Buffer:
     """Flat chip array over a window no reachable state can escape."""
 
@@ -203,9 +214,7 @@ class _Buffer:
         # [lo0 - n, hi0 + n]: extending the support by one vertex consumes
         # at least one chip permanently parked there.
         self.off = n + 1 - lo0
-        size = (hi0 + n + 1) + self.off + 1
-        self.buf = [0] * size
-        self.fcount = [0] * size
+        self.buf, self.fcount = _cells((hi0 + n + 1) + self.off + 1, n)
         for v, c in state.chips.items():
             self.buf[v + self.off] = c
         self.lo = lo0 + self.off
@@ -220,7 +229,7 @@ class _Buffer:
         """
         shift = n + 1 - self.off
         lo, hi = self.lo, self.hi
-        buf, fcount = [0] * (2 * n + 3), [0] * (2 * n + 3)
+        buf, fcount = _cells(2 * n + 3, n)
         buf[lo + shift : hi + shift + 1] = self.buf[lo : hi + 1]
         fcount[lo + shift : hi + shift + 1] = self.fcount[lo : hi + 1]
         self.buf, self.fcount = buf, fcount
@@ -566,8 +575,13 @@ def stabilize_line(n: int, params: GameParams) -> tuple[ChipState, FiringLog]:
     if n < T:
         return new_state(n, params), FiringLog({}, 0)
     N = n + 2
-    chips = np.zeros(2 * N + 1, dtype=np.int64)
-    fires = np.zeros(2 * N + 1, dtype=np.int64)
+    try:
+        chips = np.zeros(2 * N + 1, dtype=np.int64)
+        fires = np.zeros(2 * N + 1, dtype=np.int64)
+    except MemoryError:
+        raise InvalidParams(
+            f"n={n} needs a line buffer of {2 * N + 1} cells, more than memory holds"
+        ) from None
     chips[N] = n
     lo = hi = N
     total = 0

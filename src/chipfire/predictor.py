@@ -342,8 +342,11 @@ def final_answer(n: int, params: GameParams) -> FinalAnswer:
         raise InvalidParams("chip count must be non-negative")
     a, b = params.a, params.b
     if a == b:
-        # The final state does not determine the firing counts.
-        return FinalAnswer.explicit(aa_final(n, a), None, None, lambda: None)
+        # aa_final as runs: k copies of a on each side of n mod 2a.  The final
+        # state does not determine the firing counts.
+        k, q = divmod(n, 2 * a)
+        side = (Run(a, k),) if k else ()
+        return FinalAnswer(side + ((q,),), side, None, None, lambda: None)
     d = params.d
     if d > 1:
         p, q = divmod(n, d)

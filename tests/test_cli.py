@@ -10,6 +10,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chipfire import cli
 from chipfire.cli import RECORD_FIELDS, main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -228,6 +229,26 @@ def test_scan_cap_refusal_exits_two(argv, capsys):
     assert capsys.readouterr().err == "error: no balanced n below 20000 for (100,101)\n"
 
 
+# 10**17 chips need oracle buffers of exabytes, beyond any 64-bit address
+# space, so the allocation fails at once.  Mid-size n could really be
+# allocated.
+HUGE_N = str(10**17)
+
+
+@pytest.mark.parametrize("argv, stdout, buffer", [
+    (("final", HUGE_N, "-a", "2", "-b", "3", "--oracle"), "", "an oracle buffer"),
+    (("final", HUGE_N, "-a", "2", "-b", "3", "--oracle", "--json"), "", "an oracle buffer"),
+    (("bench", "-a", "2", "-b", "3", "--grid", HUGE_N),
+     "a=2 b=3\n         n    oracle_s      fast_s  match\n", "a line buffer"),
+])
+def test_oracle_beyond_memory_exits_two(argv, stdout, buffer, capsys):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == stdout
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: n={HUGE_N} needs {buffer} of ") and err.endswith(
+        " cells, more than memory holds\n")
+
+
 def test_final_refuses_n_with_range(capsys):
     code, out = run_cli("final", "5", "--range", "0", "3", "-a", "2", "-b", "3")
     assert code == 2 and out == ""
@@ -314,15 +335,106 @@ def test_verify_accepts_workers_and_suite_options():
     assert code == 0 and out.endswith("verify: PASS\n")
 
 
-def test_successive_main_calls_do_not_leak_options():
+def test_successive_main_calls_do_not_leak_options(monkeypatch):
+    # Every call below starts with a subcommand and has no stray token, so
+    # each is parsed by the subcommand's parser alone, never the full one.
+    monkeypatch.setattr(cli._parsers()[0], "parse_args", _raise)
     code, out = run_cli("final", "5", "-a", "1", "-b", "2", "--json")
     assert code == 0 and json.loads(out)["state"] == "12.2"
     code, out = run_cli("final", "5", "-a", "1", "-b", "2")
     assert code == 0 and out == "12.2\n"
     code, out = run_cli("final", "-a", "2", "-b", "3", "--range", "0", "1", "--format", "list")
     assert code == 0 and out == "0,.\n1,.\n"
+    code, out = run_cli("final", "5", "-a", "2", "-b", "3", "--oracle", "--format", "json")
+    assert code == 0 and json.loads(out)["state"] == "20.3"
     code, out = run_cli("final", "21", "-a", "2", "-b", "3")
     assert code == 0 and out == "442.2243\n"
+    code, out = run_cli("base", "-a", "2", "-b", "3", "--eval", ".43")
+    assert code == 0 and out == "4\n"
+    code, out = run_cli("base", "9", "-a", "2", "-b", "3")
+    assert code == 0 and out == "2100\n"
+
+
+# argv on which the one-pass parse must match the full parser: flags glued
+# and abbreviated, --opt=value, a negative N, stray tokens, unknown options,
+# help, "--", bad values and missing arguments, for every subcommand, plus
+# the inputs that go to the full parser (no command, a leading option, an
+# unknown or abbreviated command).
+PARSE_CORPUS = [
+    "",
+    "-h",
+    "--help",
+    "--",
+    "-- final 5 -a 2 -b 3",
+    "-x final 5 -a 2 -b 3",
+    "frobnicate",
+    "fin 5 -a 2 -b 3",
+    "final",
+    "final 5000 -a 2 -b 3",
+    "final 5000 -a2 -b3",
+    "final 5000 -b 3 -a 2 --json",
+    "final 5 -a 2 -b 3 --format=json",
+    "final 5 -a 2 -b 3 --form list",
+    "final 5 -a 2 -b 3 --js",
+    "final 5 -a 2 -b 3 --format xml",
+    "final -5 -a 2 -b 3",
+    "final 5 -a 2 -b 3 --oracle",
+    "final -a 2 -b 3 --range 0 27",
+    "final -a 2 -b 3 --ra 0",
+    "final 5 6 -a 2 -b 3",
+    "final 5 -a 2 -b 3 extra",
+    "final 5 -a 2 -b 3 --bogus",
+    "final 5 -a 2 -b 3 --bogus=1 -q",
+    "final 5 -a 2",
+    "final abc -a 2 -b 3",
+    "final 5 -a x -b 3",
+    "final -h",
+    "final 5 -a 2 -b 3 --he",
+    "final -- 5 -a 2 -b 3",
+    "final 5 -a 2 -b 3 --",
+    "settlements -a 2 -b 3 -k 8",
+    "settlements -a 2 -b 3 -k8 --format json",
+    "settlements -a 2 -b 3",
+    "settlements -a 2 -b 3 -k 8 9",
+    "settlements --help",
+    "base -a 2 -b 3 9",
+    "base -a 2 -b 3 --eval .43",
+    "base -a 2 -b 3 --ev=.43 --format list",
+    "base 9 -a 2 -b 3 extra",
+    "base -h",
+    "profile -a 3 -b 4",
+    "profile -a 3 -b 4 5",
+    "profile -a 3",
+    "profile -h",
+    "verify all",
+    "verify confluence --max-n 300 --seed 4 --check-every 7 --workers 2",
+    "verify predictor --max-n 500 --params-grid 2,3;3,4",
+    "verify invariants --max 100 -a 1 -b 2",
+    "verify nope",
+    "verify",
+    "verify all --frob",
+    "verify -h",
+    "bench -a 2 -b 3 --grid 1000,10000",
+    "bench -a 2 -b 3",
+    "bench -a 2 -b 3 --grid 10 20",
+    "bench -h",
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        namespace, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    out, err = capsys.readouterr()
+    return namespace, out, err, code
+
+
+@pytest.mark.parametrize("line", PARSE_CORPUS)
+def test_one_pass_parse_matches_the_full_parser(line, capsys):
+    argv = line.split()
+    expected = _parse_outcome(cli._parsers()[0].parse_args, argv, capsys)
+    assert _parse_outcome(cli._parse, argv, capsys) == expected
 
 
 def _raise(*args, **kwargs):
@@ -543,6 +655,15 @@ GOLDEN_SHA256 = {
         "b2a1ea5fdc6727fb7183e57cc1ea830ffbe9ce6d6f495e980a36e24b5675a6e6",
     "final 1000 -a 6 -b 9 --format list":
         "841147af05d4d05e09d74aa527c700f9b63cb06613cc01308487bc883161ac5f",
+    # a = b, fixed while its answer was still the explicit aa_final tuple.
+    "final 300000 -a 1 -b 1":
+        "6dbb3ff9c033da0594fa337a709ae79b69b31354006b5ac33d249ea47ebec6a1",
+    "final 300000 -a 1 -b 1 --json":
+        "5d82e7bda900de5d3d147d373e3ca063e2fd522aeea8fcbd9c6560e12bea613b",
+    "final 1000 -a 12 -b 12 --format list":
+        "1a886cac51cdd40f4950a5ebce535cc94cbfab869abcd2fe535b4a3e14048b98",
+    "final -a 3 -b 3 --range 0 200 --json":
+        "a38f12c7aeb93c607280bd5779a1a914de0dc1a3a439059ead90a1e6de12a018",
 }
 
 
@@ -598,12 +719,21 @@ def test_profile_slow_to_certify_pair_golden():
 
 
 def test_subprocess_entry_point():
+    # main() parses sys.argv: through the subcommand's parser when it starts
+    # with one, else through the full parser, whose usage error exits 2.
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "chipfire", "final", "8", "-a", "1", "-b", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "111.1112\n"
+    for argv, code, stdout, stderr in [
+        (["final", "8", "-a", "1", "-b", "2"], 0, "111.1112\n", ""),
+        (["final", "21", "-a", "2", "-b", "3"], 0, "442.2243\n", ""),
+        ([], 2, "", "chipfire: error: the following arguments are required: command\n"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chipfire", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (code, stdout)
+        assert proc.stderr.endswith(stderr)
+        if code == 2:
+            assert proc.stderr.startswith("usage: chipfire [-h] {final,settlements,")

@@ -31,6 +31,7 @@ from chipfire import (
 from chipfire.analysis import firings_from_word
 from chipfire.errors import InvalidParams, NotRegular, ScanExhausted, WindowFailure
 from chipfire.predictor import compute_profile, final_answer, final_counts, profile_for
+from chipfire.words import Run
 
 SIX_PAIRS = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]
 
@@ -95,6 +96,22 @@ def test_aa_final_closed_form():
             sim, _ = stabilize(new_state(n, p))
             assert aa_final(n, a) == state_word(sim), f"a={a} n={n}"
             assert final_state(n, p) == state_word(sim)
+
+
+@given(a=st.integers(min_value=1, max_value=15), n=st.integers(min_value=0, max_value=5000))
+@example(a=12, n=1000)
+@example(a=10, n=19)
+@example(a=3, n=0)
+@settings(max_examples=200, deadline=None)
+def test_aa_answer_is_runs_of_aa_final(a, n):
+    """a = b answers with one run of a on each side of n mod 2a, never with
+    the explicit digits, and its word is aa_final's (digits above 9 included)."""
+    answer = final_answer(n, GameParams(a, a))
+    assert answer.word() == aa_final(n, a)
+    k, q = divmod(n, 2 * a)
+    runs = (Run(a, k),) if k else ()
+    assert answer.head == runs + ((q,),) and answer.tail == runs
+    assert answer.counts() == (None, None, None)
 
 
 def test_lift_noncoprime():
