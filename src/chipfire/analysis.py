@@ -30,7 +30,7 @@ __all__ = [
     "recover_counts",
     "weighted_sum",
     "firings_from_M",
-    "word_weighted_sum",
+    "parts_weighted_sum",
     "firings_from_word",
     "firings_from_weight",
 ]
@@ -196,18 +196,20 @@ def firings_from_M(state: ChipState) -> int:
     return firings_from_weight(weighted_sum(state), state.params)
 
 
-def word_weighted_sum(word: DigitWord) -> int:
-    """weighted_sum of the state whose string is ``word``, read off the word.
+def parts_weighted_sum(left: tuple[int, ...], right: tuple[int, ...]) -> int:
+    """weighted_sum of the state whose parts are ``left`` and ``right``.
 
-    Vertex m holds the digit at position -m, so M = sum(-p * d_p) over the
-    word's positions; no ChipState is built.
+    ``left`` holds the digits of vertices lo..0 and ``right`` those of
+    vertices 1..hi, as ``split`` gives them; no ChipState is built.
     """
-    return sum(map(mul, range(-word.hi, 1 - word.radix), word.digits))
+    return (sum(map(mul, range(1 - len(left), 1), left))
+            + sum(map(mul, range(1, len(right) + 1), right)))
 
 
 def firings_from_word(word: DigitWord, params: GameParams) -> int:
     """firings_from_M of the state whose string is ``word``."""
-    return firings_from_weight(word_weighted_sum(word), params)
+    return firings_from_weight(
+        parts_weighted_sum(word.integer_digits(), word.fraction_digits()), params)
 
 
 def firings_from_weight(m: int, p: GameParams) -> int:

@@ -67,21 +67,13 @@ def _fmt(args) -> str:
     return fmt
 
 
-def _state_text(word: DigitWord, fmt: str) -> str:
-    return word_to_string(
-        word,
-        list_form=True if fmt == "list" else None,
-        radix_mark="always",
-    )
-
-
 def _frac_text(x: Fraction) -> str:
     return str(x)
 
 
 def _answer_text(answer: FinalAnswer, fmt: str) -> str:
-    """_state_text of the answer's state: compact straight from its segments,
-    else the list form of its materialized digits."""
+    """The answer's state with its radix dot: compact straight from its
+    segments, else the list form of its materialized digits."""
     if fmt != "list":
         head, tail = compact_segments(answer.head), compact_segments(answer.tail)
         if head is not None and tail is not None:
@@ -130,8 +122,9 @@ def _record(n: int, params: GameParams, answer: FinalAnswer) -> dict:
 def _oracle_answer(n: int, params: GameParams) -> FinalAnswer:
     """The answer by simulation, with the counts read off the firing log."""
     state, log = stabilize(new_state(n, params))
-    return FinalAnswer.explicit(analysis.state_word(state), log.fires.get(0, 0),
-                                log.fires.get(1, 0), lambda: log.total)
+    left, right = analysis.split(state)
+    return FinalAnswer.parts(left.digits, right.digits, log.fires.get(0, 0),
+                             log.fires.get(1, 0), lambda: log.total)
 
 
 def cmd_final(args, out) -> int:
@@ -151,10 +144,17 @@ def cmd_final(args, out) -> int:
     answer_for = _oracle_answer if args.oracle else final_answer
     for n in ns:
         answer = answer_for(n, params)
-        if fmt == "json":
-            print(json.dumps(_record(n, params, answer)), file=out)
-        else:
-            print(_answer_text(answer, fmt), file=out)
+        try:
+            text = (json.dumps(_record(n, params, answer)) if fmt == "json"
+                    else _answer_text(answer, fmt))
+        except MemoryError:
+            # The answer itself is O(c + log n) segments; only its text can
+            # outgrow memory.
+            digits = segment_length(answer.head) + segment_length(answer.tail)
+            raise InvalidParams(
+                f"n={n} has a final state of {digits} digits, more than memory holds"
+            ) from None
+        print(text, file=out)
     return 0
 
 
@@ -216,8 +216,9 @@ def cmd_profile(args, out) -> int:
     print(f"c = {c}", file=out)
     print(f"B = {prof.B}", file=out)
     print(f"H = {prof.H} (verified over {prof.verified_window} increments)", file=out)
-    print(f"anchor state = {_state_text(prof.anchor_state, 'compact')}", file=out)
-    print(f"anchor settlement index = {prof.anchor_index}", file=out)
+    _, left, right, f0, _ = prof.rows[prof.H]
+    print(f"anchor state = {render_digits(left, right, True)}", file=out)
+    print(f"anchor settlement index = {f0}", file=out)
     k0 = periodic_start(params)
     k0_tet = tetrahedral_periodic_start(params)
     drift = "" if k0 == k0_tet else f" (tetrahedral formula gives {k0_tet})"
@@ -345,10 +346,6 @@ def cmd_bench(args, out) -> int:
         worst_ratio = ratio if worst_ratio is None else min(worst_ratio, ratio)
     print(f"fast path faster at every n: {'yes' if worst_ratio and worst_ratio > 1 else 'no'}", file=out)
     return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
 
 
 def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

@@ -16,9 +16,9 @@ straight off the chip buffer).  The pass finds B, then checks each increment
 as its row arrives (left transition = elevated-game increment, right index
 advance = explosion count, closed-form left = simulated left, right part =
 settlement word) and stops at the first n >= B where every left digit is at
-least a and a whole window of increments has passed: row H + window.  A
-profile is immutable once computed; distinct parameter pairs can be profiled
-concurrently.
+least a and a whole window of increments has passed: row H + window.  The
+profile keeps rows 0..H as its table.  A profile is immutable once computed;
+distinct parameter pairs can be profiled concurrently.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple
 
-from .analysis import firings_from_weight, word_weighted_sum
+from .analysis import firings_from_weight, parts_weighted_sum
 # oracle_states stays importable here because span tracers patch it by module.
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import InvalidParams, NotRegular, WindowFailure
@@ -59,18 +59,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PredictorProfile:
-    """Certified thresholds and memoized prefix for one coprime pair a < b."""
+    """Certified thresholds for one coprime pair a < b and the oracle rows
+    (n, left, right, f0, f1) for n = 0..H that they were certified from."""
 
     params: GameParams
     B: int
     H: int
-    anchor_state: DigitWord
-    anchor_left: DigitWord
-    anchor_index: int
     verified_window: int
-    table: tuple[DigitWord, ...]        # final states for n = 0..H
-    f0_table: tuple[int, ...]
-    f1_table: tuple[int, ...]
+    rows: tuple[tuple, ...]
 
 
 def elevated_increment(left: DigitWord, params: GameParams) -> tuple[DigitWord, int]:
@@ -247,21 +243,8 @@ def compute_profile(
         if start is None and min(left) >= a:
             start = n
         if start is not None and n - start == check_window:
-            H = start
-            prefix = seen[: H + 1]
-            table = tuple(DigitWord(lt + rt, -len(rt)) for _, lt, rt, _, _ in prefix)
-            return PredictorProfile(
-                params=params,
-                B=B,
-                H=H,
-                anchor_state=table[H],
-                anchor_left=DigitWord(seen[H][1], 0),
-                anchor_index=seen[H][3],
-                verified_window=check_window,
-                table=table,
-                f0_table=tuple(row[3] for row in prefix),
-                f1_table=tuple(row[4] for row in prefix),
-            )
+            return PredictorProfile(params=params, B=B, H=start, verified_window=check_window,
+                                    rows=tuple(seen[: start + 1]))
     raise WindowFailure(
         f"no certified H below {scan_limit} for ({params.a},{params.b})"
     )
@@ -314,10 +297,10 @@ class FinalAnswer(NamedTuple):
     total_of: Callable[[], int | None]
 
     @classmethod
-    def explicit(cls, word: DigitWord, f0, f1, total_of) -> "FinalAnswer":
-        """The answer for a state given as a word spanning the origin."""
-        head, tail = word.integer_digits(), word.fraction_digits()
-        return cls((head,) if head else (), (tail,) if tail else (), f0, f1, total_of)
+    def parts(cls, left, right, f0, f1, total_of) -> "FinalAnswer":
+        """The answer for a state given as its digit tuples left of the origin
+        (ending with the origin digit) and right of it."""
+        return cls((left,) if left else (), (right,) if right else (), f0, f1, total_of)
 
     def word(self) -> DigitWord:
         head, tail = segment_digits(self.head), segment_digits(self.tail)
@@ -355,10 +338,10 @@ def final_answer(n: int, params: GameParams) -> FinalAnswer:
         return _mirror(final_answer(n, GameParams(b, a)))
     prof = profile_for(params)
     if n <= prof.H:
-        word = prof.table[n]
-        return FinalAnswer.explicit(
-            word, prof.f0_table[n], prof.f1_table[n],
-            lambda: firings_from_weight(word_weighted_sum(word), params),
+        _, left, right, f0, f1 = prof.rows[n]
+        return FinalAnswer.parts(
+            left, right, f0, f1,
+            lambda: firings_from_weight(parts_weighted_sum(left, right), params),
         )
     left, k = _fast_parts(n, params, prof)
     seq = seq_for(params)
@@ -366,7 +349,8 @@ def final_answer(n: int, params: GameParams) -> FinalAnswer:
     # moment of xi_k, whose first digit sits on vertex 1.
     return FinalAnswer(
         (left.digits,), seq.segments(k), k, k - params.c,
-        lambda: firings_from_weight(word_weighted_sum(left) + seq.moment(k), params),
+        lambda: firings_from_weight(parts_weighted_sum(left.digits, ()) + seq.moment(k),
+                                    params),
     )
 
 

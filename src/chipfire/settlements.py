@@ -22,6 +22,7 @@ import threading
 from itertools import islice
 from operator import mul
 
+from .analysis import parts_weighted_sum
 # oracle_states stays importable here because span tracers patch it by module.
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import CensusMismatch, InvalidParams, ScanExhausted
@@ -194,8 +195,7 @@ class SettlementSeq:
         """
         pq = self._periodic(k)
         if pq is None:
-            word = self._cached(k)
-            return sum(map(mul, range(1, len(word) + 1), word))
+            return parts_weighted_sum((), self._cached(k))
         p, q = pq
         total, weighted = self._delta_sums[q]
         return self.lead * (p + 1) * (p + 2) // 2 + (p + 2) * total + weighted

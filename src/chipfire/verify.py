@@ -58,7 +58,6 @@ __all__ = [
     "settlements_suite",
     "predictor_suite",
     "one_b_suite",
-    "run_suite",
     "SUITES",
 ]
 
@@ -375,10 +374,8 @@ def _erratum_notes() -> list[str]:
     """The two documented discrepancies, each re-derived from a real run."""
     notes = []
     p = GameParams(2, 3)
-    values = {}
-    for n, state, _ in oracle_states(p, 16):
-        _, right = analysis.split(state)
-        values[n] = eval_base(right, p)
+    rights = {n: right for n, _, right, _, _ in oracle_rows(p, 16)}
+    values = {n: eval_base(DigitWord.fraction(right), p) for n, right in rights.items()}
     if all(values[n] == 2 for n in range(5, 13)) and values[13] == 4:
         notes.append(
             "2-3 worked example: the right-part value at t=3/2 is 2 only for "
@@ -404,10 +401,6 @@ def _erratum_notes() -> list[str]:
             "increment is the sound rule"
         )
     # the right-part triplet grouping for 2-3 holds from n=15 but not at 12..14
-    rights = {}
-    for n, state, _ in oracle_states(p, 15):
-        _, right = analysis.split(state)
-        rights[n] = right
     if rights[12] != rights[13]:
         notes.append(
             "2-3 right parts group into triplets phi(3k)^R = phi(3k+1)^R = "
@@ -440,13 +433,10 @@ def one_b_suite(
     for b in count_bs:
         p = GameParams(1, b)
         first = None
-        for n, state, log in oracle_states(p, max_n):
+        for n, _, right, f0, _ in oracle_rows(p, max_n):
             if n <= b:
                 continue
-            true_count = sum(
-                1 for v, cnt in state.chips.items() if v >= 1 and cnt == b - 1
-            )
-            f0 = log.fires.get(0, 0)
+            true_count = right.count(b - 1)
             rep.check(
                 true_count == f0 - 1,
                 f"b={b} n={n}: digit-(b-1) count is {true_count}, "
@@ -468,12 +458,11 @@ def one_b_suite(
             f"(first mismatch per b: {'; '.join(first_mismatches)})"
         )
     p12 = GameParams(1, 2)
-    for n, state, _ in oracle_states(p12, trick_max):
+    for n, left, _, _, _ in oracle_rows(p12, trick_max):
         if n < 4:
             continue
-        left, _ = analysis.split(state)
         rep.check(
-            left == binary_trick_left(n),
+            left == binary_trick_left(n).digits,
             f"b=2 n={n}: binary left-part trick differs from simulation",
         )
     # R(b) law: phi(n)^L is the (n-1)-th entry (the n-2 indexing in
@@ -481,19 +470,19 @@ def one_b_suite(
     for b in (2, 3):
         p = GameParams(1, b)
         offset_checked = False
-        for n, state, _ in oracle_states(p, 220):
+        for n, left, _, _, _ in oracle_rows(p, 220):
             if n < b + 2:
                 continue
-            left, _ = analysis.split(state)
             if not offset_checked:
                 rep.check(
-                    left == r_sequence(b, n - 1) and left != r_sequence(b, n - 2),
+                    left == r_sequence(b, n - 1).digits
+                    and left != r_sequence(b, n - 2).digits,
                     f"b={b}: R-sequence offset is not n-1 at n={n}",
                 )
                 offset_checked = True
             else:
                 rep.check(
-                    left == r_sequence(b, n - 1),
+                    left == r_sequence(b, n - 1).digits,
                     f"b={b} n={n}: left part is not R(b)_(n-1)",
                 )
     rep.notes.append(
@@ -510,12 +499,3 @@ SUITES = {
     "predictor": predictor_suite,
     "one-b": one_b_suite,
 }
-
-
-def run_suite(name: str, **kwargs) -> list[SuiteReport]:
-    """Run one suite (or "all"); returns reports in declaration order."""
-    if name == "all":
-        return [fn() for fn in SUITES.values()]
-    if name not in SUITES:
-        raise KeyError(name)
-    return [SUITES[name](**kwargs)]

@@ -249,6 +249,25 @@ def test_oracle_beyond_memory_exits_two(argv, stdout, buffer, capsys):
         " cells, more than memory holds\n")
 
 
+# 10**15 chips leave a final state of about 10**15 digits, whose text needs
+# petabytes, beyond any 64-bit address space, so building it fails at once.
+# The answer itself stays small; mid-size n could really be rendered.
+TEXT_N = str(10**15)
+
+
+@pytest.mark.parametrize("argv, digits", [
+    (("final", TEXT_N, "-a", "2", "-b", "3"), 499999999999955),
+    (("final", TEXT_N, "-a", "2", "-b", "3", "--json"), 499999999999955),
+    (("final", TEXT_N, "-a", "1", "-b", "1"), 10**15 + 1),
+    (("final", TEXT_N, "-a", "3", "-b", "2", "--format", "list"), 499999999999955),
+])
+def test_final_text_beyond_memory_exits_two(argv, digits, capsys):
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: n={TEXT_N} has a final state of {digits} digits, more than memory holds\n"
+    )
+
+
 def test_final_refuses_n_with_range(capsys):
     code, out = run_cli("final", "5", "--range", "0", "3", "-a", "2", "-b", "3")
     assert code == 2 and out == ""
@@ -568,7 +587,8 @@ def test_record_lone_dot_forms():
     from chipfire.predictor import FinalAnswer
 
     def answer(word):
-        return FinalAnswer.explicit(word, 0, 0, lambda: 0)
+        return FinalAnswer.parts(word.integer_digits(), word.fraction_digits(), 0, 0,
+                                 lambda: 0)
 
     rec = _record(0, GameParams(20, 21), answer(DigitWord((14, 10), -1)))
     assert (rec["state"], rec["left"], rec["right"]) == ("14,.,10", "14,.", ".,10")
@@ -621,15 +641,16 @@ def test_final_renders_like_the_materialized_word(pair, n):
     record equal the renderers applied to the materialized state, on every
     dispatch branch, on both sides of H ((20, 21) has H = 1071), and with
     digits above 9 ((6, 9), (9, 6) and (10, 15))."""
-    from chipfire import GameParams, final_state
-    from chipfire.cli import _state_text
+    from chipfire import GameParams, final_state, word_to_string
 
     a, b = pair
     p = GameParams(a, b)
     word = final_state(n, p)
     argv = ("final", str(n), "-a", str(a), "-b", str(b))
-    assert run_cli(*argv) == (0, _state_text(word, "compact") + "\n")
-    assert run_cli(*argv, "--format", "list") == (0, _state_text(word, "list") + "\n")
+    compact = word_to_string(word, radix_mark="always")
+    listed = word_to_string(word, list_form=True, radix_mark="always")
+    assert run_cli(*argv) == (0, compact + "\n")
+    assert run_cli(*argv, "--format", "list") == (0, listed + "\n")
     record = _record_three_calls(n, p, word, None)
     assert run_cli(*argv, "--json") == (0, json.dumps(record) + "\n")
 

@@ -51,8 +51,11 @@ def test_two_three_profile():
     prof = profile_for(GameParams(2, 3))
     assert prof.B == 13 and prof.H == 15
     assert prof.verified_window >= 50
-    assert all(d >= 2 for d in prof.anchor_left.digits)
-    assert s(prof.anchor_state) == "232.413"
+    n, left, right, f0, _ = prof.rows[prof.H]
+    assert n == prof.H and len(prof.rows) == prof.H + 1
+    assert all(d >= 2 for d in left)
+    assert s(DigitWord(left + right, -len(right))) == "232.413"
+    assert f0 == 4
 
 
 def test_one_two_profile():
@@ -415,12 +418,12 @@ def _compute_profile_two_pass(params, check_window=50, scan_limit=20000):
             words, lefts, f0s, f1s = _simulate_prefix_reference(params, n_sim)
             H = _find_H_reference(params, seq, ac, B, words, lefts, f0s, check_window, n_sim)
             if H is not None:
-                return PredictorProfile(
-                    params=params, B=B, H=H, anchor_state=words[H],
-                    anchor_left=DigitWord(lefts[H], 0), anchor_index=f0s[H],
-                    verified_window=check_window, table=tuple(words[: H + 1]),
-                    f0_table=tuple(f0s[: H + 1]), f1_table=tuple(f1s[: H + 1]),
+                rows = tuple(
+                    (n, lefts[n], words[n].fraction_digits(), f0s[n], f1s[n])
+                    for n in range(H + 1)
                 )
+                return PredictorProfile(params=params, B=B, H=H,
+                                        verified_window=check_window, rows=rows)
         if n_sim >= scan_limit + check_window:
             raise WindowFailure(f"no certified H below {scan_limit}")
         n_sim *= 4
