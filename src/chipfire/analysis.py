@@ -18,7 +18,7 @@ from operator import mul
 
 from .engine import ChipState, FiringLog, GameParams
 from .errors import DivisionByZero, EqualRates, InconsistentLog, NotDivisible
-from .words import DigitWord, EMPTY_WORD
+from .words import DigitWord, EMPTY_WORD, Run, segment_length
 
 __all__ = [
     "InvariantReport",
@@ -30,7 +30,7 @@ __all__ = [
     "recover_counts",
     "weighted_sum",
     "firings_from_M",
-    "parts_weighted_sum",
+    "segments_weighted_sum",
     "firings_from_word",
     "firings_from_weight",
 ]
@@ -152,13 +152,14 @@ def side_values(state: ChipState, log: FiringLog) -> InvariantReport:
 def recover_counts(state: ChipState) -> tuple[int, int]:
     """(f0, f1) from the state alone, for a != b.
 
-    The two right-side identities are linearly independent, so the origin
-    and origout firing counts are determined by the final state itself:
+    For a != b the two right-side identities are linearly independent, so
+    they give the origin and origout firing counts directly:
     f0 = (right(1) - right(b/a)) / (b-a) and f1 = f0 - right(b/a)/a.
     """
     p = state.params
     if p.a == p.b:
-        raise EqualRates("firing counts are not state-determined when a == b")
+        raise EqualRates("the side-value identities coincide when a == b, "
+                         "so they do not give the firing counts")
     boa = p.boa
     right_1 = 0
     right_b = Fraction(0)
@@ -196,20 +197,31 @@ def firings_from_M(state: ChipState) -> int:
     return firings_from_weight(weighted_sum(state), state.params)
 
 
-def parts_weighted_sum(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    """weighted_sum of the state whose parts are ``left`` and ``right``.
+def segments_weighted_sum(head: tuple, tail: tuple) -> int:
+    """weighted_sum of the state whose digits are ``head`` at vertices lo..0
+    and ``tail`` at vertices 1..hi, each as segments (digit tuples and Runs,
+    see words.Run); no ChipState is built.
 
-    ``left`` holds the digits of vertices lo..0 and ``right`` those of
-    vertices 1..hi, as ``split`` gives them; no ChipState is built.
+    A run of k copies of d from vertex v adds d * (k*v + k(k-1)/2), so a run
+    costs O(1) big-integer operations however long it is.
     """
-    return (sum(map(mul, range(1 - len(left), 1), left))
-            + sum(map(mul, range(1, len(right) + 1), right)))
+    m = 0
+    v = 1 - segment_length(head)
+    for seg in head + tail:
+        if type(seg) is Run:
+            d, k = seg
+            m += d * (k * v + k * (k - 1) // 2)
+            v += k
+        else:
+            m += sum(map(mul, range(v, v + len(seg)), seg))
+            v += len(seg)
+    return m
 
 
 def firings_from_word(word: DigitWord, params: GameParams) -> int:
     """firings_from_M of the state whose string is ``word``."""
     return firings_from_weight(
-        parts_weighted_sum(word.integer_digits(), word.fraction_digits()), params)
+        segments_weighted_sum((word.integer_digits(),), (word.fraction_digits(),)), params)
 
 
 def firings_from_weight(m: int, p: GameParams) -> int:

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import analysis
 from .engine import GameParams, new_state, stabilize, stabilize_line
@@ -47,6 +46,7 @@ from .words import (
     render_digits,
     segment_digits,
     segment_length,
+    segment_sum,
     string_to_word,
     to_base,
     word_to_string,
@@ -67,40 +67,28 @@ def _fmt(args) -> str:
     return fmt
 
 
-def _frac_text(x: Fraction) -> str:
-    return str(x)
-
-
-def _answer_text(answer: FinalAnswer, fmt: str) -> str:
-    """The answer's state with its radix dot: compact straight from its
-    segments, else the list form of its materialized digits."""
-    if fmt != "list":
-        head, tail = compact_segments(answer.head), compact_segments(answer.tail)
-        if head is not None and tail is not None:
-            return head + "." + tail
-    return render_digits(segment_digits(answer.head), segment_digits(answer.tail), True, True)
-
-
 def _record(n: int, params: GameParams, answer: FinalAnswer) -> dict:
     """The JSON record of one final state."""
-    f0, f1, total = answer.counts()
-    # S(b/a) = n on every state, so the two side values sum to n: only the
-    # part with fewer digits is materialized and evaluated, the other side
-    # is n minus it.
-    if segment_length(answer.head) <= segment_length(answer.tail):
+    f0, f1, total = answer.counts(params)
+    # S(b/a) = n on every state, so the two side values sum to n: only one
+    # part is evaluated, the other side is n minus it.  For a = b every power
+    # of b/a is one, so the left value is the digit sum of its segments;
+    # otherwise the part with fewer digits is materialized and evaluated.
+    if params.a == params.b:
+        left_value = segment_sum(answer.head)
+    elif segment_length(answer.head) <= segment_length(answer.tail):
         left_value = eval_base(DigitWord(segment_digits(answer.head), 0), params)
-        right_value = n - left_value
     else:
-        right_value = eval_base(DigitWord.fraction(segment_digits(answer.tail)), params)
-        left_value = n - right_value
+        left_value = n - eval_base(DigitWord.fraction(segment_digits(answer.tail)), params)
+    right_value = n - left_value
     # Each part is rendered once; a digit above 9 falls back to the list
     # forms, whose lone-dot tokens ("14,.", ".,10") depend on the part.
     head_text, tail_text = compact_segments(answer.head), compact_segments(answer.tail)
     if head_text is None or tail_text is None:
         head, tail = segment_digits(answer.head), segment_digits(answer.tail)
-        state = render_digits(head, tail, True)
-        left = render_digits(head, (), not head)
-        right = render_digits((), tail, True)
+        state = render_digits((head,), (tail,), True)
+        left = render_digits((head,), (), not head)
+        right = render_digits((), (tail,), True)
     else:
         state, left, right = head_text + "." + tail_text, head_text or ".", "." + tail_text
     return {
@@ -111,8 +99,8 @@ def _record(n: int, params: GameParams, answer: FinalAnswer) -> dict:
         "left": left,
         "right": right,
         "settlement_index": f0 if params.is_structured() else None,
-        "left_value_boa": _frac_text(left_value),
-        "right_value_boa": _frac_text(right_value),
+        "left_value_boa": str(left_value),
+        "right_value_boa": str(right_value),
         "f0": f0,
         "f1": f1,
         "total_firings": total,
@@ -124,7 +112,7 @@ def _oracle_answer(n: int, params: GameParams) -> FinalAnswer:
     state, log = stabilize(new_state(n, params))
     left, right = analysis.split(state)
     return FinalAnswer.parts(left.digits, right.digits, log.fires.get(0, 0),
-                             log.fires.get(1, 0), lambda: log.total)
+                             log.fires.get(1, 0), log.total)
 
 
 def cmd_final(args, out) -> int:
@@ -146,7 +134,8 @@ def cmd_final(args, out) -> int:
         answer = answer_for(n, params)
         try:
             text = (json.dumps(_record(n, params, answer)) if fmt == "json"
-                    else _answer_text(answer, fmt))
+                    else render_digits(answer.head, answer.tail, True,
+                                       True if fmt == "list" else None))
         except MemoryError:
             # The answer itself is O(c + log n) segments; only its text can
             # outgrow memory.
@@ -174,7 +163,7 @@ def cmd_settlements(args, out) -> int:
                         "b": params.b,
                         "k": k,
                         "word": word_to_string(w),
-                        "value_boa": _frac_text(eval_base(w, params)),
+                        "value_boa": str(eval_base(w, params)),
                     }
                 ),
                 file=out,
@@ -189,7 +178,7 @@ def cmd_base(args, out) -> int:
     fmt = _fmt(args)
     if args.eval is not None:
         w = string_to_word(args.eval)
-        print(_frac_text(eval_base(w, params)), file=out)
+        print(eval_base(w, params), file=out)
         return 0
     if args.n is None:
         raise InvalidParams("base needs N or --eval WORD")
@@ -217,7 +206,7 @@ def cmd_profile(args, out) -> int:
     print(f"B = {prof.B}", file=out)
     print(f"H = {prof.H} (verified over {prof.verified_window} increments)", file=out)
     _, left, right, f0, _ = prof.rows[prof.H]
-    print(f"anchor state = {render_digits(left, right, True)}", file=out)
+    print(f"anchor state = {render_digits((left,), (right,), True)}", file=out)
     print(f"anchor settlement index = {f0}", file=out)
     k0 = periodic_start(params)
     k0_tet = tetrahedral_periodic_start(params)

@@ -121,10 +121,6 @@ class FiringLog:
     fires: dict[int, int]
     total: int
 
-    @classmethod
-    def of(cls, fires: dict[int, int]) -> "FiringLog":
-        return cls(dict(fires), sum(fires.values()))
-
 
 class ChipState:
     """Sparse chip configuration: vertex index -> positive count.

@@ -26,9 +26,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .analysis import firings_from_weight, parts_weighted_sum
+from .analysis import firings_from_weight, segments_weighted_sum
 # oracle_states stays importable here because span tracers patch it by module.
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import InvalidParams, NotRegular, WindowFailure
@@ -267,15 +267,14 @@ def _step_ok(row: tuple, nxt: tuple, params: GameParams, seq, ac: int) -> bool:
     )
 
 
-def profile_for(params: GameParams, check_window: int = 50) -> PredictorProfile:
+def profile_for(params: GameParams) -> PredictorProfile:
     key = (params.a, params.b)
     with _PROFILES_LOCK:
         prof = _PROFILES.get(key)
-    if prof is not None and prof.verified_window >= check_window:
-        return prof
-    prof = compute_profile(params, check_window)
-    with _PROFILES_LOCK:
-        _PROFILES[key] = prof
+    if prof is None:
+        prof = compute_profile(params)
+        with _PROFILES_LOCK:
+            _PROFILES[key] = prof
     return prof
 
 
@@ -286,50 +285,58 @@ class FinalAnswer(NamedTuple):
     -2, ..., each as segments (digit tuples and Runs, see words.Run).  Past H
     the tail is (Run(c(b-a), p+1), delta_q), so the answer's size is
     O(c + log n) however long the state is.  f0 and f1 are the origin and
-    origout firing counts, None where the dispatch does not define them, and
-    ``total_of()`` computes the total firing count only when asked.
+    origout firing counts, None where the dispatch does not define them.
+    ``total`` is the total firing count when it was logged; otherwise
+    ``counts`` reads it off the segments.
     """
 
     head: tuple
     tail: tuple
     f0: int | None
     f1: int | None
-    total_of: Callable[[], int | None]
+    total: int | None = None
 
     @classmethod
-    def parts(cls, left, right, f0, f1, total_of) -> "FinalAnswer":
+    def parts(cls, left, right, f0, f1, total=None) -> "FinalAnswer":
         """The answer for a state given as its digit tuples left of the origin
         (ending with the origin digit) and right of it."""
-        return cls((left,) if left else (), (right,) if right else (), f0, f1, total_of)
+        return cls((left,) if left else (), (right,) if right else (), f0, f1, total)
 
     def word(self) -> DigitWord:
         head, tail = segment_digits(self.head), segment_digits(self.tail)
         return DigitWord(head + tail, -len(tail))
 
-    def counts(self) -> tuple[int | None, int | None, int | None]:
-        return self.f0, self.f1, self.total_of()
+    def counts(self, params: GameParams) -> tuple[int | None, int | None, int | None]:
+        """(f0, f1, total), the total being M / (b - a) of the state unless it
+        was logged, and None for a == b, where every firing leaves M as it is."""
+        total = self.total
+        if total is None and params.a != params.b:
+            total = firings_from_weight(segments_weighted_sum(self.head, self.tail), params)
+        return self.f0, self.f1, total
 
 
 def final_answer(n: int, params: GameParams) -> FinalAnswer:
     """The final state of n chips at the origin and its firing counts.
 
     One dispatch: a == b has a closed form; gcd(a, b) = d > 1 lifts the
-    reduced game's answer (its firing sequences are admitted, so the counts
-    carry over); a > b mirrors the (b, a) answer, which keeps the origin
-    count and the total (M and b - a both change sign) but not the origout
-    count; coprime a < b reads the certified table up to H and the structure
-    theory past it, where the total is M / (b - a) with the right part's
-    share of M taken from the settlement index, in O(c + log n).
+    reduced game's answer (its firing sequences are admitted, so f0 and f1
+    carry over); a > b mirrors the (b, a) answer, which keeps the
+    origin count but not the origout count; coprime a < b reads the
+    certified table up to H and the structure theory past it.  The total is
+    left to FinalAnswer.counts, which reads M off the segments in
+    O(c + log n) past H: M scales by d under the lift and changes sign under
+    the mirror, as b - a does.
     """
     if n < 0:
         raise InvalidParams("chip count must be non-negative")
     a, b = params.a, params.b
     if a == b:
-        # aa_final as runs: k copies of a on each side of n mod 2a.  The final
-        # state does not determine the firing counts.
+        # aa_final as runs: k copies of a on each side of n mod 2a.  The
+        # counts stay None: the side-value identities that give them for
+        # a != b coincide here, though the state still determines them.
         k, q = divmod(n, 2 * a)
         side = (Run(a, k),) if k else ()
-        return FinalAnswer(side + ((q,),), side, None, None, lambda: None)
+        return FinalAnswer(side + ((q,),), side, None, None)
     d = params.d
     if d > 1:
         p, q = divmod(n, d)
@@ -339,19 +346,9 @@ def final_answer(n: int, params: GameParams) -> FinalAnswer:
     prof = profile_for(params)
     if n <= prof.H:
         _, left, right, f0, f1 = prof.rows[n]
-        return FinalAnswer.parts(
-            left, right, f0, f1,
-            lambda: firings_from_weight(parts_weighted_sum(left, right), params),
-        )
+        return FinalAnswer.parts(left, right, f0, f1)
     left, k = _fast_parts(n, params, prof)
-    seq = seq_for(params)
-    # M splits at the origin: the left word's own weighted sum plus the
-    # moment of xi_k, whose first digit sits on vertex 1.
-    return FinalAnswer(
-        (left.digits,), seq.segments(k), k, k - params.c,
-        lambda: firings_from_weight(parts_weighted_sum(left.digits, ()) + seq.moment(k),
-                                    params),
-    )
+    return FinalAnswer((left.digits,), seq_for(params).segments(k), k, k - params.c)
 
 
 def _split_origin(head: tuple) -> tuple[tuple, int]:
@@ -401,7 +398,7 @@ def final_counts(n: int, params: GameParams) -> tuple[int | None, int | None, in
 
     The counts of final_answer: None for a == b, f1 None under the mirror.
     """
-    return final_answer(n, params).counts()
+    return final_answer(n, params).counts(params)
 
 
 def _fast_parts(n: int, params: GameParams, prof: PredictorProfile) -> tuple[DigitWord, int]:

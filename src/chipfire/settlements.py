@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import threading
 from itertools import islice
-from operator import mul
 
-from .analysis import parts_weighted_sum
 # oracle_states stays importable here because span tracers patch it by module.
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import CensusMismatch, InvalidParams, ScanExhausted
@@ -149,8 +147,6 @@ class SettlementSeq:
         self.deltas = _delta_tuples(params.a, params.b, self.c)
         self.start = periodic_start(params)
         self.lead = self.c * (params.b - params.a)
-        # (sum of delta_q, sum of j * delta_q[j]) for each q, j from 0.
-        self._delta_sums = [(sum(d), sum(map(mul, range(len(d)), d))) for d in self.deltas]
         self._words: list[tuple[int, ...]] = [()]
         self._lock = threading.Lock()
 
@@ -185,20 +181,6 @@ class SettlementSeq:
             return (word,) if word else ()
         p, q = pq
         return (Run(self.lead, p + 1), self.deltas[q])
-
-    def moment(self, k: int) -> int:
-        """sum(i * r_i) over xi_k = .r_1 r_2 ..., r_1 being the origout digit.
-
-        Past the periodic start the run of p+1 lead digits is an arithmetic
-        series and delta_q starts at position p+2, so this costs O(1) big
-        integer operations however long the word is.
-        """
-        pq = self._periodic(k)
-        if pq is None:
-            return parts_weighted_sum((), self._cached(k))
-        p, q = pq
-        total, weighted = self._delta_sums[q]
-        return self.lead * (p + 1) * (p + 2) // 2 + (p + 2) * total + weighted
 
     def settlement(self, k: int) -> DigitWord:
         return DigitWord.fraction(self.word(k))

@@ -30,6 +30,7 @@ __all__ = [
     "Run",
     "segment_digits",
     "segment_length",
+    "segment_sum",
     "compact_segments",
     "string_to_word",
 ]
@@ -258,7 +259,7 @@ def word_to_string(
     head = w.integer_digits()
     tail = w.fraction_digits()
     want_dot = bool(tail) or radix_mark == "always" or not head
-    return render_digits(head, tail, want_dot, list_form)
+    return render_digits((head,), (tail,), want_dot, list_form)
 
 
 # Digits 0..9 as the bytes of their characters and every other byte as a NUL
@@ -301,6 +302,11 @@ def segment_length(segments: tuple) -> int:
     return sum(seg.count if type(seg) is Run else len(seg) for seg in segments)
 
 
+def segment_sum(segments: tuple) -> int:
+    """The digit sum of a segment sequence."""
+    return sum(seg.digit * seg.count if type(seg) is Run else sum(seg) for seg in segments)
+
+
 def compact_segments(segments: tuple) -> str | None:
     """The compact text of a segment sequence, or None when a digit is above 9.
 
@@ -321,21 +327,21 @@ def compact_segments(segments: tuple) -> str | None:
     return "".join(parts)
 
 
-def render_digits(head: tuple[int, ...], tail: tuple[int, ...], want_dot: bool,
+def render_digits(head: tuple, tail: tuple, want_dot: bool,
                   list_form: bool | None = None) -> str:
-    """The text of a word whose digits are ``head`` before the radix point
-    and ``tail`` after it; ``want_dot`` prints the point.
+    """The text of a word whose digits are the segments ``head`` before the
+    radix point and ``tail`` after it; ``want_dot`` prints the point.
 
     Compact form when every digit is at most 9 and list_form allows it.
     """
     if not list_form:
-        compact_head, compact_tail = _compact(head), _compact(tail)
+        compact_head, compact_tail = compact_segments(head), compact_segments(tail)
         if compact_head is not None and compact_tail is not None:
             return compact_head + "." + compact_tail if want_dot else compact_head
         if list_form is False:
             raise ParseError("compact form cannot express digits above 9")
-    head_text = list(map(str, head))
-    tail_text = list(map(str, tail))
+    head_text = list(map(str, segment_digits(head)))
+    tail_text = list(map(str, segment_digits(tail)))
     out = (",".join(head_text) + "." + ",".join(tail_text) if want_dot
            else ",".join(head_text))
     if "," not in out:

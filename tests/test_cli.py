@@ -354,6 +354,13 @@ def test_verify_accepts_workers_and_suite_options():
     assert code == 0 and out.endswith("verify: PASS\n")
 
 
+def test_verify_confluence_accepts_equal_rates():
+    """For a = b every firing sends as many chips each way, so the weighted
+    sum check pins M = 0 rather than dividing by b - a."""
+    code, out = run_cli("verify", "confluence", "--params-grid", "2,2;3,3", "--max-n", "30")
+    assert (code, out) == (0, "suite confluence: 1054 checks, 0 failures\nverify: PASS\n")
+
+
 def test_successive_main_calls_do_not_leak_options(monkeypatch):
     # Every call below starts with a subcommand and has no stray token, so
     # each is parsed by the subcommand's parser alone, never the full one.
@@ -575,7 +582,8 @@ def test_record_evaluates_only_the_shorter_part(a, b, monkeypatch):
         code, out = run_cli("final", "-a", str(a), "-b", str(b), "--range", "0", "300",
                             "--json", *oracle)
         recs = [json.loads(line) for line in out.splitlines()]
-        assert code == 0 and len(recs) == len(evaluated) == 301
+        # For a = b every power of b/a is one: each value is a digit sum.
+        assert code == 0 and len(recs) == 301 and len(evaluated) == (0 if a == b else 301)
         for rec, digits in zip(recs, evaluated):
             w = string_to_word(rec["state"])
             assert digits <= min(len(w.integer_digits()), len(w.fraction_digits())), rec
@@ -587,8 +595,7 @@ def test_record_lone_dot_forms():
     from chipfire.predictor import FinalAnswer
 
     def answer(word):
-        return FinalAnswer.parts(word.integer_digits(), word.fraction_digits(), 0, 0,
-                                 lambda: 0)
+        return FinalAnswer.parts(word.integer_digits(), word.fraction_digits(), 0, 0, 0)
 
     rec = _record(0, GameParams(20, 21), answer(DigitWord((14, 10), -1)))
     assert (rec["state"], rec["left"], rec["right"]) == ("14,.,10", "14,.", ".,10")

@@ -1,0 +1,64 @@
+"""Every function, class and method in the package has a reader."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "chipfire"
+READERS = ("src", "tests", "perfbench")
+
+
+def _all_strings(tree: ast.Module) -> set[int]:
+    """ids of the string constants listed in the module's ``__all__``."""
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            ids.update(id(c) for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return ids
+
+
+def _appearances(tree: ast.Module):
+    """(name, line) for every Name, Attribute, imported name and string
+    constant in the module, the strings of ``__all__`` left out."""
+    exported = _all_strings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                for part in alias.name.split("."):
+                    yield part, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in exported):
+            yield node.value, node.lineno
+
+
+def _definitions(tree: ast.Module):
+    """Every function, class and method whose name is not a dunder."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node
+
+
+def test_every_definition_is_used():
+    seen: dict[str, list[tuple[Path, int]]] = {}
+    for reader in READERS:
+        for path in sorted((ROOT / reader).rglob("*.py")):
+            for name, line in _appearances(ast.parse(path.read_text(), str(path))):
+                seen.setdefault(name, []).append((path, line))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _definitions(ast.parse(path.read_text(), str(path))):
+            # A mention inside the definition itself (recursion, say) is no reader.
+            outside = [
+                (where, line) for where, line in seen.get(node.name, [])
+                if not (where == path and node.lineno <= line <= node.end_lineno)
+            ]
+            if not outside:
+                dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not dead, dead

@@ -114,7 +114,7 @@ def test_aa_answer_is_runs_of_aa_final(a, n):
     k, q = divmod(n, 2 * a)
     runs = (Run(a, k),) if k else ()
     assert answer.head == runs + ((q,),) and answer.tail == runs
-    assert answer.counts() == (None, None, None)
+    assert answer.counts(GameParams(a, a)) == (None, None, None)
 
 
 def test_lift_noncoprime():
@@ -155,7 +155,7 @@ def test_mirrored_answer_is_mirror_word_of_the_reduced_answer(pair, n):
     a, b = pair
     reduced = final_answer(n, GameParams(b, a))
     assert final_state(n, GameParams(a, b)) == mirror_word(reduced.word())
-    f0, _, total = reduced.counts()
+    f0, _, total = reduced.counts(GameParams(b, a))
     assert final_counts(n, GameParams(a, b)) == (f0, None, total)
 
 
@@ -172,6 +172,25 @@ def test_lifted_answer_is_lift_noncoprime_of_the_reduced_answer(pair, n):
     reduced = GameParams(p.a // d, p.b // d)
     assert final_state(n, p) == lift_noncoprime(final_answer(n // d, reduced).word(), d, n % d)
     assert final_counts(n, p) == final_counts(n // d, reduced)
+
+
+# Reduced thresholds: H = 15 for (2, 3) and 24 for (3, 5).
+@given(pair=st.sampled_from([(3, 2), (5, 3), (4, 6), (6, 9), (9, 6)]),
+       n=st.integers(min_value=0, max_value=600))
+@example(pair=(3, 2), n=15)
+@example(pair=(5, 3), n=25)
+@example(pair=(4, 6), n=2 * 15 + 1)
+@example(pair=(6, 9), n=3 * 16)
+@example(pair=(9, 6), n=600)
+@settings(max_examples=100, deadline=None)
+def test_mirrored_and_lifted_counts_match_the_log(pair, n):
+    """The mirror and the gcd lift carry no total of their own: the one read
+    off the answer's segments with the requested pair's b - a equals the
+    simulated firing total, on both sides of the reduced game's H."""
+    p = GameParams(*pair)
+    _, log = stabilize(new_state(n, p))
+    f0, _, total = final_counts(n, p)
+    assert (f0, total) == (log.fires.get(0, 0), log.total)
 
 
 def _lift_per_position(w, d, q):

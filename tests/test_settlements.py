@@ -15,6 +15,7 @@ from chipfire import (
     settlement_next,
     word_to_string,
 )
+from chipfire.analysis import segments_weighted_sum
 from chipfire.errors import InvalidParams, ScanExhausted
 from chipfire.settlements import (
     highest_dormant_index,
@@ -126,14 +127,15 @@ def test_closed_form_agrees_with_iteration(a, b):
 
 @pytest.mark.parametrize("a,b", STRUCTURED_PAIRS + [(20, 21), (3, 8)])
 def test_moment_matches_digit_sum(a, b):
-    """moment(k) is sum(i * r_i) over xi_k, below, at and past the periodic
-    start."""
+    """The weighted sum of xi_k's segments is sum(i * r_i) over xi_k, below,
+    at and past the periodic start."""
     seq = seq_for(GameParams(a, b))
     for k in range(seq.start + 3 * seq.c + 1):
         word = seq.word(k)
-        assert seq.moment(k) == sum(i * r for i, r in enumerate(word, start=1)), (a, b, k)
+        moment = segments_weighted_sum((), seq.segments(k))
+        assert moment == sum(i * r for i, r in enumerate(word, start=1)), (a, b, k)
     with pytest.raises(InvalidParams):
-        seq.moment(-1)
+        seq.segments(-1)
 
 
 def test_anchor_word_first_occurrence():

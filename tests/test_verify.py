@@ -34,14 +34,6 @@ def test_invariants_suite_clean():
     assert rep.ok
 
 
-def test_settlements_suite_notes_but_no_failures():
-    rep = verify.settlements_suite()
-    assert rep.ok
-    assert len(rep.notes) == 2
-    assert any("c(c+3)/2" in n for n in rep.notes)
-    assert any("(c-1)(c+2)/2" in n for n in rep.notes)
-
-
 def test_predictor_suite_scoped():
     rep = verify.predictor_suite(pairs=[(2, 3), (1, 2)], max_n=200, value_window=50)
     assert rep.ok
@@ -85,6 +77,28 @@ ORACLE_SUITE_REPORTS = {
         "phi(3k+2)^R only from n=15 on; the triplet 12..14 mixes .13, .43, .43",
     ]),
     "invariants": ({"max_n": 50}, 306, []),
+    "confluence": ({"max_n": 60, "workers": 1}, 11407, []),
+    "settlements": ({}, 1367, [
+        "tetrahedral settlement anchor Te_c+1 overshoots for c >= 3; true anchor "
+        "is c(c+3)/2: a=3 b=4 c=3: anchor word .3654 first at k=9, not Te_c+1=11 "
+        "(xi_11 = .36254); a=4 b=5 c=4: anchor word .48765 first at k=14, not "
+        "Te_c+1=21 (xi_21 = .4483765); a=5 b=6 c=5: anchor word .5,10,9,8,7,6 "
+        "first at k=20, not Te_c+1=36 (xi_36 = .5,5,5,5,10,9,8,7,1,6); a=5 b=7 "
+        "c=3: anchor word .6,11,9,7 first at k=9, not Te_c+1=11 (xi_11 = "
+        ".6,11,4,9,7); a=6 b=7 c=6: anchor word .6,12,11,10,9,8,7 first at k=27, "
+        "not Te_c+1=57 (xi_57 = .6,6,6,6,6,6,12,11,10,9,8,7)",
+        "tetrahedral last-dormant index Te_(c-1)+1 is off for c = 1 and c >= 4; "
+        "true index is (c-1)(c+2)/2: a=1 b=2 c=1: last dormant index is 0, not "
+        "Te_(c-1)+1=1; a=1 b=3 c=1: last dormant index is 0, not Te_(c-1)+1=1; "
+        "a=1 b=4 c=1: last dormant index is 0, not Te_(c-1)+1=1; a=1 b=5 c=1: "
+        "last dormant index is 0, not Te_(c-1)+1=1; a=2 b=5 c=1: last dormant "
+        "index is 0, not Te_(c-1)+1=1; a=4 b=5 c=4: last dormant index is 9, not "
+        "Te_(c-1)+1=11; a=1 b=6 c=1: last dormant index is 0, not Te_(c-1)+1=1; "
+        "a=5 b=6 c=5: last dormant index is 14, not Te_(c-1)+1=21; a=1 b=7 c=1: "
+        "last dormant index is 0, not Te_(c-1)+1=1; a=2 b=7 c=1: last dormant "
+        "index is 0, not Te_(c-1)+1=1; a=3 b=7 c=1: last dormant index is 0, not "
+        "Te_(c-1)+1=1; a=6 b=7 c=6: last dormant index is 20, not Te_(c-1)+1=36",
+    ]),
 }
 
 
