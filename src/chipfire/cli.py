@@ -21,7 +21,8 @@ import sys
 import time
 
 from . import analysis
-from .engine import GameParams, new_state, stabilize, stabilize_line
+# stabilize stays importable here because span tracers patch it by module.
+from .engine import GameParams, stabilize, stabilize_line  # noqa: F401
 from .errors import ChipFiringError, InvalidParams, ParseError, ScanExhausted
 # final_counts stays importable here because span tracers patch it by module.
 from .predictor import (  # noqa: F401
@@ -109,7 +110,7 @@ def _record(n: int, params: GameParams, answer: FinalAnswer) -> dict:
 
 def _oracle_answer(n: int, params: GameParams) -> FinalAnswer:
     """The answer by simulation, with the counts read off the firing log."""
-    state, log = stabilize(new_state(n, params))
+    state, log = stabilize_line(n, params, buffer="an oracle buffer")
     left, right = analysis.split(state)
     return FinalAnswer.parts(left.digits, right.digits, log.fires.get(0, 0),
                              log.fires.get(1, 0), log.total)

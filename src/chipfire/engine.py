@@ -185,15 +185,23 @@ def fire(state: ChipState, v: int) -> ChipState:
 # ---------------------------------------------------------------------------
 
 
-def _cells(size: int, n: int) -> tuple[list[int], list[int]]:
-    """The chip and firing-count lists of a buffer for the n-chip game, or a
-    refusal when they do not fit in memory."""
-    try:
-        return [0] * size, [0] * size
-    except MemoryError:
-        raise InvalidParams(
-            f"n={n} needs an oracle buffer of {size} cells, more than memory holds"
-        ) from None
+# At 8 bytes a cell, a buffer this long would take 2**62 bytes, more than any
+# machine's memory, so it is refused before allocating.  The cap also keeps
+# every count of the line kernel far inside int64.
+_MAX_CELLS = 2**59
+
+
+def _cells(size: int, n: int, zeros=lambda size: [0] * size,
+           buffer: str = "an oracle buffer") -> tuple:
+    """The chip and firing-count buffers of ``size`` cells each, made by
+    ``zeros``, for the n-chip game, or a refusal naming ``buffer`` when they do
+    not fit in memory."""
+    if size < _MAX_CELLS:
+        try:
+            return zeros(size), zeros(size)
+        except MemoryError:
+            pass
+    raise InvalidParams(f"n={n} needs {buffer} of {size} cells, more than memory holds")
 
 
 class _Buffer:
@@ -553,54 +561,78 @@ def oracle_rows(params: GameParams, n_max: int):
         yield n, left, right, bb.fcount[off], bb.fcount[off + 1]
 
 
-def stabilize_line(n: int, params: GameParams) -> tuple[ChipState, FiringLog]:
-    """Vectorized stabilization of n chips at the origin.
+# Rounds the line kernel fires between two recomputations of its firable hull.
+_HULL_EVERY = 16
 
-    Fires every currently-firable vertex with full multiplicity, round after
-    round, over a numpy buffer.  This is just another legal schedule, so by
-    confluence it produces the same final state and firing counts as
-    ``stabilize``; it exists because the bench needs the oracle at n ~ 1e5.
+
+def stabilize_line(n: int, params: GameParams, *,
+                   buffer: str = "a line buffer") -> tuple[ChipState, FiringLog]:
+    """Stabilization of n chips at the origin over a numpy buffer.
+
+    The one kernel that plays a single game from the origin: ``bench`` times
+    it and ``final --oracle`` answers with it.  ``buffer`` names its buffer
+    in the refusal when the buffer does not fit in memory.  Each round fires
+    every cell of a window floor(s/T) times by slice updates.  That is a
+    legal schedule, so by confluence it ends in the same final state and
+    firing counts as ``stabilize``.
+
+    The window is the firable hull, the first to the last cell holding at
+    least T chips, recomputed only every _HULL_EVERY rounds.  A round can
+    make firable only the neighbours of cells that fired, so the hull grows
+    by at most one cell a side per round; the rounds in between therefore
+    fire over the hull widened by _HULL_EVERY - 1 cells a side, where every
+    cell outside the true hull fires zero times.  A round with nothing
+    firable is a no-op.
     """
     import numpy as np
 
     if n < 0:
         raise InvalidParams("chip count must be non-negative")
-    if n >= 2**62:
-        raise InvalidParams("line stabilizer supports n < 2**62")
     T, a, b = params.threshold, params.a, params.b
     if n < T:
         return new_state(n, params), FiringLog({}, 0)
-    N = n + 2
-    try:
-        chips = np.zeros(2 * N + 1, dtype=np.int64)
-        fires = np.zeros(2 * N + 1, dtype=np.int64)
-    except MemoryError:
-        raise InvalidParams(
-            f"n={n} needs a line buffer of {2 * N + 1} cells, more than memory holds"
-        ) from None
-    chips[N] = n
-    lo = hi = N
-    total = 0
+    # Cell i holds vertex i - off.  Only the vertices -n..n may fire, so
+    # chips stay on -n-1..n+1, the whole buffer.  The window is clamped to the
+    # cells that may fire, and an edge cell that turns firable is caught at
+    # the next hull recomputation, which scans one cell past the window on
+    # each side.
+    off = n + 1
+    chips, fires = _cells(2 * off + 1, n, lambda size: np.zeros(size, dtype=np.int64), buffer)
+    chips[off] = n
+    first_ok, last_ok = 1, 2 * off - 1
+    lo = hi = off
+    widen = _HULL_EVERY - 1
     while True:
-        counts = chips[lo : hi + 1] // T
-        nz = np.nonzero(counts)[0]
-        if nz.size == 0:
+        firable = np.flatnonzero(chips[lo - 1 : hi + 2] >= T)
+        if firable.size == 0:
             break
-        chips[lo : hi + 1] -= counts * T
-        chips[lo - 1 : hi] += a * counts
-        chips[lo + 1 : hi + 2] += b * counts
-        fires[lo : hi + 1] += counts
-        total += int(counts.sum())
-        first = lo + int(nz[0])
-        last = lo + int(nz[-1])
-        lo = first - 1
-        hi = last + 1
-        if not (lo >= 1 and hi <= 2 * N - 1):
+        first = lo - 1 + int(firable[0])
+        last = lo - 1 + int(firable[-1])
+        if not (first >= first_ok and last <= last_ok):
             raise InvariantViolation("support escaped the [-n-1, n+1] window")
-    support = np.nonzero(chips)[0]
-    state = ChipState(params, {int(i) - N: int(chips[i]) for i in support})
-    fired = np.nonzero(fires)[0]
-    log = FiringLog({int(i) - N: int(fires[i]) for i in fired}, total)
+        lo, hi = max(first - widen, first_ok), min(last + widen, last_ok)
+        width = hi - lo + 1
+        s, f = chips[lo : hi + 1], fires[lo : hi + 1]
+        to_left, to_right = chips[lo - 1 : hi], chips[lo + 1 : hi + 2]
+        counts = np.empty(width, dtype=np.int64)
+        # a·counts and b·counts; a factor of one reuses counts itself.
+        out_a = counts if a == 1 else np.empty(width, dtype=np.int64)
+        out_b = counts if b == 1 else np.empty(width, dtype=np.int64)
+        for _ in range(_HULL_EVERY):
+            np.floor_divide(s, T, out=counts)
+            if a != 1:
+                np.multiply(counts, a, out=out_a)
+            if b != 1:
+                np.multiply(counts, b, out=out_b)
+            s -= out_a
+            s -= out_b
+            to_left += out_a
+            to_right += out_b
+            f += counts
+    support = np.flatnonzero(chips)
+    state = ChipState(params, {int(i) - off: int(chips[i]) for i in support})
+    fired = np.flatnonzero(fires)
+    log = FiringLog({int(i) - off: int(fires[i]) for i in fired}, int(fires.sum()))
     if not (state.n == n and state.is_final()):
         raise InvariantViolation(f"line stabilizer lost chips or stopped early at n={n}")
     return state, log

@@ -240,12 +240,21 @@ HUGE_N = str(10**17)
     (("final", HUGE_N, "-a", "2", "-b", "3", "--oracle", "--json"), "", "an oracle buffer"),
     (("bench", "-a", "2", "-b", "3", "--grid", HUGE_N),
      "a=2 b=3\n         n    oracle_s      fast_s  match\n", "a line buffer"),
+    # From 2**60 chips the line buffer's bytes outgrow a 64-bit address space,
+    # and from 2**62 chips a buffer's length outgrows an index.
+    *((("final", n, "-a", "2", "-b", "3", "--oracle", *form), "", "an oracle buffer")
+      for n in (str(2**62), str(2**63), str(10**20)) for form in ((), ("--json",))),
+    (("bench", "-a", "2", "-b", "3", "--grid", str(2**61)),
+     "a=2 b=3\n         n    oracle_s      fast_s  match\n", "a line buffer"),
+    (("bench", "-a", "2", "-b", "3", "--grid", str(2**63)),
+     "a=2 b=3\n         n    oracle_s      fast_s  match\n", "a line buffer"),
 ])
 def test_oracle_beyond_memory_exits_two(argv, stdout, buffer, capsys):
     code, out = run_cli(*argv)
     assert code == 2 and out == stdout
+    n = argv[-1] if argv[0] == "bench" else argv[1]
     err = capsys.readouterr().err
-    assert err.startswith(f"error: n={HUGE_N} needs {buffer} of ") and err.endswith(
+    assert err.startswith(f"error: n={n} needs {buffer} of ") and err.endswith(
         " cells, more than memory holds\n")
 
 
@@ -509,6 +518,28 @@ def test_text_state_equals_json_state(a, b):
             _, log = stabilize(new_state(rec["n"], p))
             expected = None if a == b and not oracle else log.total
             assert rec["total_firings"] == expected, (a, b, rec["n"], oracle)
+
+
+@pytest.mark.parametrize("a, b", BRANCH_PAIRS)
+def test_oracle_plays_one_line_game_per_record(a, b, monkeypatch):
+    """`--oracle` answers each record with one call of the line kernel and
+    never calls the leftmost `stabilize`."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "stabilize_line", counting("line", cli.stabilize_line))
+    monkeypatch.setattr(cli, "stabilize", counting("stabilize", cli.stabilize))
+    for ns, records in ((("100",), 1), (("--range", "0", "40"), 41)):
+        for form in ((), ("--format", "list"), ("--json",)):
+            calls.clear()
+            code, out = run_cli("final", *ns, "-a", str(a), "-b", str(b), "--oracle", *form)
+            assert code == 0 and len(out.splitlines()) == records
+            assert calls == ["line"] * records, (a, b, ns, form)
 
 
 def _record_three_calls(n, params, word, log):

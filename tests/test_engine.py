@@ -1,7 +1,9 @@
 """Core engine: firing, stabilization, schedules, conservation."""
 
+from math import gcd
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chipfire import (
     LEFTMOST,
@@ -307,21 +309,57 @@ def test_stabilize_arbitrary_start_state():
     assert len(outs) == 1
 
 
-def test_stabilize_line_matches_engine():
-    p = GameParams(2, 3)
-    for n in (0, 4, 5, 77, 300, 1234):
-        line_state, line_log = stabilize_line(n, p)
-        ref_state, ref_log = stabilize(new_state(n, p))
-        assert line_state == ref_state
-        assert line_log == ref_log
+# Every pair with a, b in 1..12, by dispatch branch.
+_LINE_PAIRS = [(a, b) for a in range(1, 13) for b in range(1, 13)]
+_LINE_BRANCHES = [
+    [(a, b) for a, b in _LINE_PAIRS if a == b],
+    [(a, b) for a, b in _LINE_PAIRS if a != b and gcd(a, b) > 1],
+    [(a, b) for a, b in _LINE_PAIRS if a > b and gcd(a, b) == 1],
+    [(a, b) for a, b in _LINE_PAIRS if a < b and gcd(a, b) == 1],
+]
 
 
-def test_stabilize_line_other_params():
-    for a, b in [(1, 2), (3, 4), (5, 7), (2, 2), (4, 6)]:
-        p = GameParams(a, b)
-        line_state, line_log = stabilize_line(500, p)
-        ref_state, ref_log = stabilize(new_state(500, p))
-        assert line_state == ref_state and line_log == ref_log
+@st.composite
+def _line_games(draw):
+    """A pair from a uniformly drawn branch, and n in 0..1500.  For a = b
+    the game of n chips fires as often as the (1, 1) game of floor(n/a)
+    chips, and the leftmost reference takes about a second at n = 300a
+    (100 s for (1, 1) at n = 1500), so n stops there."""
+    a, b = draw(st.sampled_from(_LINE_BRANCHES).flatmap(st.sampled_from))
+    return a, b, draw(st.integers(0, min(1500, 300 * a) if a == b else 1500))
+
+
+@settings(max_examples=100, deadline=None)
+@given(game=_line_games())
+# Below, at and just past the threshold T, on the a = b, mirror and coprime
+# a < b branches.
+@example(game=(2, 3, 4))
+@example(game=(2, 3, 5))
+@example(game=(2, 3, 6))
+@example(game=(3, 2, 4))
+@example(game=(3, 2, 5))
+@example(game=(3, 2, 6))
+@example(game=(1, 1, 1))
+@example(game=(1, 1, 2))
+@example(game=(1, 1, 3))
+# The line kernel recomputes its firable hull every 16 rounds.  (2, 3) at
+# n = 24 stops after exactly 16 rounds, at n = 77 five rounds into its
+# seventh batch (101 rounds), and at n = 300 one round after a recomputation
+# (609 rounds).
+@example(game=(2, 3, 24))
+@example(game=(2, 3, 77))
+@example(game=(2, 3, 300))
+@example(game=(2, 3, 0))
+@example(game=(2, 3, 1234))
+@example(game=(1, 2, 500))
+@example(game=(3, 4, 500))
+@example(game=(5, 7, 500))
+@example(game=(2, 2, 500))
+@example(game=(4, 6, 500))
+def test_stabilize_line_matches_engine(game):
+    a, b, n = game
+    p = GameParams(a, b)
+    assert stabilize_line(n, p) == stabilize(new_state(n, p)), game
 
 
 # One pair per dispatch branch (a = b, gcd > 1, mirror, coprime a < b), as in
