@@ -18,7 +18,7 @@ from operator import mul
 
 from .engine import ChipState, FiringLog, GameParams
 from .errors import DivisionByZero, EqualRates, InconsistentLog, NotDivisible
-from .words import DigitWord, EMPTY_WORD, Run, segment_length
+from .words import DigitWord, EMPTY_WORD, segment_length
 
 __all__ = [
     "InvariantReport",
@@ -46,7 +46,6 @@ class InvariantReport:
     right_at_1: int
     left_at_boa: Fraction
     right_at_boa: Fraction
-    m_weighted: int
     f0: int
     f1: int
 
@@ -64,12 +63,8 @@ def state_poly_eval(state: ChipState, t: Fraction | int) -> Fraction:
 
 def state_word(state: ChipState) -> DigitWord:
     """Canonical full state string: vertex m holds the digit at position -m."""
-    if not state.chips:
-        return DigitWord((0,), 0)
-    lo = min(min(state.chips), 0)
-    hi = max(max(state.chips), 0)
-    digits = tuple(state.count(v) for v in range(lo, hi + 1))
-    return DigitWord(digits, -hi)
+    left, right = split(state)
+    return DigitWord(left.digits + right.digits, right.radix)
 
 
 def split(state: ChipState) -> tuple[DigitWord, DigitWord]:
@@ -98,6 +93,22 @@ def combine(left: DigitWord, right: DigitWord, params: GameParams) -> ChipState:
     return ChipState(params, chips)
 
 
+def _sides(state: ChipState) -> tuple[int, int, Fraction, Fraction]:
+    """(left(1), right(1), left(b/a), right(b/a)): S(1) and S(b/a) split into
+    the vertices <= 0 and those >= 1, in one pass over the chips."""
+    boa = state.params.boa
+    left_1 = right_1 = 0
+    left_b = right_b = Fraction(0)
+    for v, c in state.chips.items():
+        if v <= 0:
+            left_1 += c
+            left_b += c * boa ** (-v)
+        else:
+            right_1 += c
+            right_b += c * boa ** (-v)
+    return left_1, right_1, left_b, right_b
+
+
 def side_values(state: ChipState, log: FiringLog) -> InvariantReport:
     """Side values of a state reached from n chips at the origin under ``log``.
 
@@ -108,19 +119,9 @@ def side_values(state: ChipState, log: FiringLog) -> InvariantReport:
     failure, which would mean the engine and its log disagree.
     """
     p = state.params
-    boa = p.boa
     f0 = log.fires.get(0, 0)
     f1 = log.fires.get(1, 0)
-    left_1 = right_1 = 0
-    left_b = Fraction(0)
-    right_b = Fraction(0)
-    for v, c in state.chips.items():
-        if v <= 0:
-            left_1 += c
-            left_b += c * boa ** (-v)
-        else:
-            right_1 += c
-            right_b += c * boa ** (-v)
+    left_1, right_1, left_b, right_b = _sides(state)
     n = left_1 + right_1
     checks = [
         ("left(1)", left_1, n - p.b * f0 + p.a * f1),
@@ -143,7 +144,6 @@ def side_values(state: ChipState, log: FiringLog) -> InvariantReport:
         right_at_1=right_1,
         left_at_boa=left_b,
         right_at_boa=right_b,
-        m_weighted=weighted_sum(state),
         f0=f0,
         f1=f1,
     )
@@ -160,13 +160,7 @@ def recover_counts(state: ChipState) -> tuple[int, int]:
     if p.a == p.b:
         raise EqualRates("the side-value identities coincide when a == b, "
                          "so they do not give the firing counts")
-    boa = p.boa
-    right_1 = 0
-    right_b = Fraction(0)
-    for v, c in state.chips.items():
-        if v > 0:
-            right_1 += c
-            right_b += c * boa ** (-v)
+    _, right_1, _, right_b = _sides(state)
     diff = right_1 - right_b
     surplus = right_b / p.a
     if diff.denominator != 1 or surplus.denominator != 1:
@@ -199,29 +193,27 @@ def firings_from_M(state: ChipState) -> int:
 
 def segments_weighted_sum(head: tuple, tail: tuple) -> int:
     """weighted_sum of the state whose digits are ``head`` at vertices lo..0
-    and ``tail`` at vertices 1..hi, each as segments (digit tuples and Runs,
-    see words.Run); no ChipState is built.
+    and ``tail`` at vertices 1..hi, each as (digits, count) segments (see
+    words.segment_digits); no ChipState is built.
 
-    A run of k copies of d from vertex v adds d * (k*v + k(k-1)/2), so a run
-    costs O(1) big-integer operations however long it is.
+    k copies of a w-digit block d_0..d_(w-1) from vertex v add
+    k * sum(d_i * (v+i)) + sum(d_i) * w * k(k-1)/2, so a segment costs one
+    pass over its block however many times it repeats.
     """
     m = 0
     v = 1 - segment_length(head)
-    for seg in head + tail:
-        if type(seg) is Run:
-            d, k = seg
-            m += d * (k * v + k * (k - 1) // 2)
-            v += k
-        else:
-            m += sum(map(mul, range(v, v + len(seg)), seg))
-            v += len(seg)
+    for block, k in head + tail:
+        w = len(block)
+        m += k * sum(map(mul, range(v, v + w), block)) + sum(block) * w * (k * (k - 1) // 2)
+        v += w * k
     return m
 
 
 def firings_from_word(word: DigitWord, params: GameParams) -> int:
     """firings_from_M of the state whose string is ``word``."""
     return firings_from_weight(
-        segments_weighted_sum((word.integer_digits(),), (word.fraction_digits(),)), params)
+        segments_weighted_sum(((word.integer_digits(), 1),), ((word.fraction_digits(), 1),)),
+        params)
 
 
 def firings_from_weight(m: int, p: GameParams) -> int:

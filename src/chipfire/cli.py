@@ -87,9 +87,9 @@ def _record(n: int, params: GameParams, answer: FinalAnswer) -> dict:
     head_text, tail_text = compact_segments(answer.head), compact_segments(answer.tail)
     if head_text is None or tail_text is None:
         head, tail = segment_digits(answer.head), segment_digits(answer.tail)
-        state = render_digits((head,), (tail,), True)
-        left = render_digits((head,), (), not head)
-        right = render_digits((), (tail,), True)
+        state = render_digits(((head, 1),), ((tail, 1),), True)
+        left = render_digits(((head, 1),), (), not head)
+        right = render_digits((), ((tail, 1),), True)
     else:
         state, left, right = head_text + "." + tail_text, head_text or ".", "." + tail_text
     return {
@@ -207,7 +207,7 @@ def cmd_profile(args, out) -> int:
     print(f"B = {prof.B}", file=out)
     print(f"H = {prof.H} (verified over {prof.verified_window} increments)", file=out)
     _, left, right, f0, _ = prof.rows[prof.H]
-    print(f"anchor state = {render_digits((left,), (right,), True)}", file=out)
+    print(f"anchor state = {render_digits(((left, 1),), ((right, 1),), True)}", file=out)
     print(f"anchor settlement index = {f0}", file=out)
     k0 = periodic_start(params)
     k0_tet = tetrahedral_periodic_start(params)

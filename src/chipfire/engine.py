@@ -119,7 +119,11 @@ class FiringLog:
     """Per-vertex firing counters for one run."""
 
     fires: dict[int, int]
-    total: int
+
+    @property
+    def total(self) -> int:
+        """The number of firings in the run."""
+        return sum(self.fires.values())
 
 
 class ChipState:
@@ -207,7 +211,7 @@ def _cells(size: int, n: int, zeros=lambda size: [0] * size,
 class _Buffer:
     """Flat chip array over a window no reachable state can escape."""
 
-    __slots__ = ("off", "buf", "fcount", "lo", "hi", "total")
+    __slots__ = ("off", "buf", "fcount", "lo", "hi")
 
     def __init__(self, state: ChipState):
         support = state.support()
@@ -223,7 +227,6 @@ class _Buffer:
             self.buf[v + self.off] = c
         self.lo = lo0 + self.off
         self.hi = hi0 + self.off
-        self.total = 0
 
     def recenter(self, n: int) -> None:
         """Re-allocate for every state of the n-chip game started at the
@@ -252,7 +255,7 @@ class _Buffer:
     def log(self) -> FiringLog:
         fcount, off = self.fcount, self.off
         fires = {i - off: fcount[i] for i in range(self.lo, self.hi + 1) if fcount[i]}
-        return FiringLog(fires, self.total)
+        return FiringLog(fires)
 
 
 class _Checker:
@@ -266,7 +269,7 @@ class _Checker:
     checker, so an unchecked run pays one ``is not None`` test per firing.
     """
 
-    __slots__ = ("a", "b", "n", "apow", "bpow", "every", "checks")
+    __slots__ = ("a", "b", "n", "apow", "bpow", "every")
 
     def __init__(self, params: GameParams, n: int, every: int):
         self.a = params.a
@@ -275,7 +278,6 @@ class _Checker:
         self.apow = [1]
         self.bpow = [1]
         self.every = every
-        self.checks = 0
 
     def _grow(self, table: list[int], base: int, k: int) -> None:
         while len(table) <= k:
@@ -295,15 +297,14 @@ class _Checker:
             if c:
                 total += c
                 scaled += c * apow[i - lo] * bpow[hi - i]
-        self.checks += 1
         if total != self.n:
             raise InvariantViolation(
-                f"chip total {total} != n {self.n} after {bb.total} firings"
+                f"chip total {total} != n {self.n} after {sum(bb.fcount)} firings"
             )
         if scaled != self.n * apow[bb.off - lo] * bpow[hi - bb.off]:
             raise InvariantViolation(
                 f"state polynomial at b/a deviates from n={self.n} "
-                f"after {bb.total} firings"
+                f"after {sum(bb.fcount)} firings"
             )
 
 
@@ -320,7 +321,6 @@ def _scan(bb: _Buffer, T: int, a: int, b: int, v: int, step: int, floor: int,
     buf = bb.buf
     fcount = bb.fcount
     lo, hi = bb.lo, bb.hi
-    total = bb.total
     due = checker.every if checker is not None else 0
     # Firing v can only push v-step back over the threshold, so the cursor
     # retreats at most one cell per firing; the floor is only consulted then.
@@ -330,7 +330,6 @@ def _scan(bb: _Buffer, T: int, a: int, b: int, v: int, step: int, floor: int,
             buf[v - 1] += a
             buf[v + 1] += b
             fcount[v] += 1
-            total += 1
             if v - 1 < lo:
                 lo = v - 1
             if v + 1 > hi:
@@ -339,14 +338,14 @@ def _scan(bb: _Buffer, T: int, a: int, b: int, v: int, step: int, floor: int,
                 due -= 1
                 if not due:
                     due = checker.every
-                    bb.lo, bb.hi, bb.total = lo, hi, total
+                    bb.lo, bb.hi = lo, hi
                     checker.check(bb)
             back = v - step
             if buf[back] >= T and back >= floor:
                 v = back
         else:
             v += step
-    bb.lo, bb.hi, bb.total = lo, hi, total
+    bb.lo, bb.hi = lo, hi
 
 
 def _run_parallel(bb: _Buffer, T: int, a: int, b: int, checker: _Checker | None) -> None:
@@ -354,7 +353,6 @@ def _run_parallel(bb: _Buffer, T: int, a: int, b: int, checker: _Checker | None)
     buf = bb.buf
     fcount = bb.fcount
     lo, hi = bb.lo, bb.hi
-    total = bb.total
     due = checker.every if checker is not None else 0
     while True:
         firable = [i for i in range(lo, hi + 1) if buf[i] >= T]
@@ -365,20 +363,18 @@ def _run_parallel(bb: _Buffer, T: int, a: int, b: int, checker: _Checker | None)
             buf[i - 1] += a
             buf[i + 1] += b
             fcount[i] += 1
-            total += 1
             if checker is not None:
                 due -= 1
                 if not due:
                     due = checker.every
                     bb.lo = min(lo, firable[0] - 1)
                     bb.hi = max(hi, firable[-1] + 1)
-                    bb.total = total
                     checker.check(bb)
         if firable[0] - 1 < lo:
             lo = firable[0] - 1
         if firable[-1] + 1 > hi:
             hi = firable[-1] + 1
-    bb.lo, bb.hi, bb.total = lo, hi, total
+    bb.lo, bb.hi = lo, hi
 
 
 def _run_random(bb: _Buffer, T: int, a: int, b: int, seed: int,
@@ -393,7 +389,6 @@ def _run_random(bb: _Buffer, T: int, a: int, b: int, seed: int,
     buf = bb.buf
     fcount = bb.fcount
     lo, hi = bb.lo, bb.hi
-    total = bb.total
     due = checker.every if checker is not None else 0
     candidates = [i for i in range(lo, hi + 1) if buf[i] >= T]
     queued = bytearray(len(buf))
@@ -412,7 +407,6 @@ def _run_random(bb: _Buffer, T: int, a: int, b: int, seed: int,
         buf[vm] += a
         buf[vp] += b
         fcount[v] += 1
-        total += 1
         if vm < lo:
             lo = vm
         if vp > hi:
@@ -431,9 +425,9 @@ def _run_random(bb: _Buffer, T: int, a: int, b: int, seed: int,
             due -= 1
             if not due:
                 due = checker.every
-                bb.lo, bb.hi, bb.total = lo, hi, total
+                bb.lo, bb.hi = lo, hi
                 checker.check(bb)
-    bb.lo, bb.hi, bb.total = lo, hi, total
+    bb.lo, bb.hi = lo, hi
 
 
 def stabilize(
@@ -590,7 +584,7 @@ def stabilize_line(n: int, params: GameParams, *,
         raise InvalidParams("chip count must be non-negative")
     T, a, b = params.threshold, params.a, params.b
     if n < T:
-        return new_state(n, params), FiringLog({}, 0)
+        return new_state(n, params), FiringLog({})
     # Cell i holds vertex i - off.  Only the vertices -n..n may fire, so
     # chips stay on -n-1..n+1, the whole buffer.  The window is clamped to the
     # cells that may fire, and an edge cell that turns firable is caught at
@@ -632,7 +626,7 @@ def stabilize_line(n: int, params: GameParams, *,
     support = np.flatnonzero(chips)
     state = ChipState(params, {int(i) - off: int(chips[i]) for i in support})
     fired = np.flatnonzero(fires)
-    log = FiringLog({int(i) - off: int(fires[i]) for i in fired}, int(fires.sum()))
+    log = FiringLog({int(i) - off: int(fires[i]) for i in fired})
     if not (state.n == n and state.is_final()):
         raise InvariantViolation(f"line stabilizer lost chips or stopped early at n={n}")
     return state, log

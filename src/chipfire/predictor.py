@@ -33,7 +33,7 @@ from .analysis import firings_from_weight, segments_weighted_sum
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import InvalidParams, NotRegular, WindowFailure
 from .settlements import balanced_B, seq_for
-from .words import DigitWord, EMPTY_WORD, Run, segment_digits
+from .words import DigitWord, EMPTY_WORD, segment_digits
 
 __all__ = [
     "PredictorProfile",
@@ -282,10 +282,11 @@ class FinalAnswer(NamedTuple):
     """The final state of one game and its firing counts, as final_answer gives them.
 
     ``head`` holds the digits at positions hi..0 and ``tail`` those at -1,
-    -2, ..., each as segments (digit tuples and Runs, see words.Run).  Past H
-    the tail is (Run(c(b-a), p+1), delta_q), so the answer's size is
-    O(c + log n) however long the state is.  f0 and f1 are the origin and
-    origout firing counts, None where the dispatch does not define them.
+    -2, ..., each as (digits, count) segments (see words.segment_digits).
+    Past H the tail is (((c(b-a),), p+1), (delta_q, 1)), so the answer's
+    size is O(c + log n) however long the state is.  f0 and f1 are the
+    origin and origout firing counts, None where the dispatch does not
+    define them.
     ``total`` is the total firing count when it was logged; otherwise
     ``counts`` reads it off the segments.
     """
@@ -300,7 +301,8 @@ class FinalAnswer(NamedTuple):
     def parts(cls, left, right, f0, f1, total=None) -> "FinalAnswer":
         """The answer for a state given as its digit tuples left of the origin
         (ending with the origin digit) and right of it."""
-        return cls((left,) if left else (), (right,) if right else (), f0, f1, total)
+        return cls(((left, 1),) if left else (), ((right, 1),) if right else (),
+                   f0, f1, total)
 
     def word(self) -> DigitWord:
         head, tail = segment_digits(self.head), segment_digits(self.tail)
@@ -335,8 +337,8 @@ def final_answer(n: int, params: GameParams) -> FinalAnswer:
         # counts stay None: the side-value identities that give them for
         # a != b coincide here, though the state still determines them.
         k, q = divmod(n, 2 * a)
-        side = (Run(a, k),) if k else ()
-        return FinalAnswer(side + ((q,),), side, None, None)
+        side = (((a,), k),) if k else ()
+        return FinalAnswer(side + (((q,), 1),), side, None, None)
     d = params.d
     if d > 1:
         p, q = divmod(n, d)
@@ -348,39 +350,36 @@ def final_answer(n: int, params: GameParams) -> FinalAnswer:
         _, left, right, f0, f1 = prof.rows[n]
         return FinalAnswer.parts(left, right, f0, f1)
     left, k = _fast_parts(n, params, prof)
-    return FinalAnswer((left.digits,), seq_for(params).segments(k), k, k - params.c)
+    return FinalAnswer(((left.digits, 1),), seq_for(params).segments(k), k, k - params.c)
 
 
 def _split_origin(head: tuple) -> tuple[tuple, int]:
     """(head without its last digit, that digit, the one at position 0)."""
-    *rest, last = head
-    if type(last) is Run:
-        if last.count > 1:
-            rest.append(Run(last.digit, last.count - 1))
-        return tuple(rest), last.digit
-    if len(last) > 1:
-        rest.append(last[:-1])
-    return tuple(rest), last[-1]
+    *rest, (block, count) = head
+    if count > 1:
+        rest.append((block, count - 1))
+    if len(block) > 1:
+        rest.append((block[:-1], 1))
+    return tuple(rest), block[-1]
 
 
 def _lift(answer: FinalAnswer, d: int, q: int) -> FinalAnswer:
     """lift_noncoprime on an answer: every digit times d, plus q at the origin."""
     def scale(segments):
-        return tuple(Run(seg.digit * d, seg.count) if type(seg) is Run
-                     else tuple([x * d for x in seg]) for seg in segments)
+        return tuple((tuple([x * d for x in block]), count) for block, count in segments)
 
     rest, origin = _split_origin(scale(answer.head))
-    return answer._replace(head=rest + ((origin + q,),), tail=scale(answer.tail))
+    return answer._replace(head=rest + (((origin + q,), 1),), tail=scale(answer.tail))
 
 
 def _mirror(answer: FinalAnswer) -> FinalAnswer:
     """mirror_word on an answer: the tail reversed becomes the head, ending
     at the origin digit, and the rest of the head reversed the tail."""
     def reverse(segments):
-        return tuple(seg if type(seg) is Run else seg[::-1] for seg in reversed(segments))
+        return tuple((block[::-1], count) for block, count in reversed(segments))
 
     rest, origin = _split_origin(answer.head)
-    return answer._replace(head=reverse(answer.tail) + ((origin,),), tail=reverse(rest),
+    return answer._replace(head=reverse(answer.tail) + (((origin,), 1),), tail=reverse(rest),
                            f1=None)
 
 

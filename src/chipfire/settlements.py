@@ -24,7 +24,7 @@ from itertools import islice
 # oracle_states stays importable here because span tracers patch it by module.
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import CensusMismatch, InvalidParams, ScanExhausted
-from .words import DigitWord, Run, segment_digits
+from .words import DigitWord, segment_digits
 
 __all__ = [
     "triangular",
@@ -146,7 +146,8 @@ class SettlementSeq:
         self.c = params.c
         self.deltas = _delta_tuples(params.a, params.b, self.c)
         self.start = periodic_start(params)
-        self.lead = self.c * (params.b - params.a)
+        # The one-digit block c*(b-a) that the periodic regime repeats.
+        self.lead = (self.c * (params.b - params.a),)
         self._words: list[tuple[int, ...]] = [()]
         self._lock = threading.Lock()
 
@@ -173,14 +174,15 @@ class SettlementSeq:
         return segment_digits(self.segments(k))
 
     def segments(self, k: int) -> tuple:
-        """xi_k as segments: (Run(lead, p+1), delta_q) past the periodic start,
-        else the cached word (no segment when it is empty)."""
+        """xi_k as (digits, count) segments: p+1 copies of the lead digit, then
+        delta_q, past the periodic start; else the cached word as one segment
+        (none when it is empty)."""
         pq = self._periodic(k)
         if pq is None:
             word = self._cached(k)
-            return (word,) if word else ()
+            return ((word, 1),) if word else ()
         p, q = pq
-        return (Run(self.lead, p + 1), self.deltas[q])
+        return ((self.lead, p + 1), (self.deltas[q], 1))
 
     def settlement(self, k: int) -> DigitWord:
         return DigitWord.fraction(self.word(k))

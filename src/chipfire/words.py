@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .engine import GameParams
 from .errors import InvalidBase, ParseError
@@ -27,7 +26,6 @@ __all__ = [
     "explode_normalize",
     "word_to_string",
     "render_digits",
-    "Run",
     "segment_digits",
     "segment_length",
     "segment_sum",
@@ -259,71 +257,61 @@ def word_to_string(
     head = w.integer_digits()
     tail = w.fraction_digits()
     want_dot = bool(tail) or radix_mark == "always" or not head
-    return render_digits((head,), (tail,), want_dot, list_form)
+    return render_digits(((head, 1),), ((tail, 1),), want_dot, list_form)
 
 
 # Digits 0..9 as the bytes of their characters and every other byte as a NUL
-# sentinel; compact rendering maps a whole digit tuple through this table in
-# one call.
+# sentinel; compact rendering maps a whole block of digits through this table
+# in one call.
 _DIGIT_CHARS = b"0123456789" + bytes(246)
 
 
-def _compact(digits: tuple[int, ...]) -> str | None:
-    """The compact text of ``digits``, or None when a digit is above 9."""
-    try:
-        raw = bytes(digits).translate(_DIGIT_CHARS)
-    except ValueError:      # a digit above 255
-        return None
-    return None if b"\0" in raw else raw.decode()
-
-
-class Run(NamedTuple):
-    """``count`` copies of ``digit``, as one segment of a digit sequence."""
-
-    digit: int
-    count: int
-
-
-# A digit sequence given in segments: each is a digit tuple or a Run, so a long
-# run of one digit costs O(1) until it is rendered.
+# A digit sequence given in segments.  Every segment is a pair (digits, count):
+# ``count`` copies of the digit tuple ``digits``, so an explicit tuple t is
+# (t, 1) and a run of k copies of the digit d is ((d,), k).  A long run costs
+# O(1) until it is rendered.
 
 
 def segment_digits(segments: tuple) -> tuple[int, ...]:
     """The digits of a segment sequence, materialized."""
-    if len(segments) == 1 and type(segments[0]) is not Run:
-        return segments[0]
+    if len(segments) == 1 and segments[0][1] == 1:
+        return segments[0][0]
     digits: tuple[int, ...] = ()
-    for seg in segments:
-        digits += (seg.digit,) * seg.count if type(seg) is Run else seg
+    for block, count in segments:
+        digits += block * count
     return digits
 
 
 def segment_length(segments: tuple) -> int:
-    return sum(seg.count if type(seg) is Run else len(seg) for seg in segments)
+    return sum(len(block) * count for block, count in segments)
 
 
 def segment_sum(segments: tuple) -> int:
     """The digit sum of a segment sequence."""
-    return sum(seg.digit * seg.count if type(seg) is Run else sum(seg) for seg in segments)
+    return sum(sum(block) * count for block, count in segments)
 
 
 def compact_segments(segments: tuple) -> str | None:
     """The compact text of a segment sequence, or None when a digit is above 9.
 
-    A run renders as one repeated character, so only the digit tuples are
-    translated digit by digit.
+    Each block is translated once and its text repeated; a one-digit block
+    is read straight off "0123456789".
     """
     parts = []
-    for seg in segments:
-        if type(seg) is Run:
-            if seg.digit > 9:
+    for block, count in segments:
+        if len(block) == 1:
+            if block[0] > 9:
                 return None
-            parts.append(chr(48 + seg.digit) * seg.count)
+            text = "0123456789"[block[0]]
         else:
-            text = _compact(seg)
-            if text is None:
+            try:
+                raw = bytes(block).translate(_DIGIT_CHARS)
+            except ValueError:      # a digit above 255
                 return None
-            parts.append(text)
+            if b"\0" in raw:
+                return None
+            text = raw.decode()
+        parts.append(text * count)
     return "".join(parts)
 
 
@@ -378,8 +366,14 @@ def string_to_word(text: str) -> DigitWord:
     return DigitWord(tuple(int_part) + tuple(frac_part), -len(frac_part))
 
 
+def _is_digits(s: str) -> bool:
+    """Whether ``s`` is one or more ASCII digits 0-9; str.isdigit alone also
+    takes other scripts' digits and superscripts."""
+    return s.isascii() and s.isdigit()
+
+
 def _digit_or_raise(ch: str, text: str) -> bool:
-    if not ch.isdigit():
+    if not _is_digits(ch):
         raise ParseError(f"bad character {ch!r} in {text!r}")
     return True
 
@@ -398,16 +392,16 @@ def _parse_list(s: str, text: str) -> tuple[list[int], list[int]]:
         if "." in tok:
             head, tail = tok.split(".")
             if head:
-                if not head.isdigit():
+                if not _is_digits(head):
                     raise ParseError(f"bad digit token {tok!r} in {text!r}")
                 before.append(int(head))
             current = after
             if tail:
-                if not tail.isdigit():
+                if not _is_digits(tail):
                     raise ParseError(f"bad digit token {tok!r} in {text!r}")
                 after.append(int(tail))
             continue
-        if not tok.isdigit():
+        if not _is_digits(tok):
             raise ParseError(f"bad digit token {tok!r} in {text!r}")
         current.append(int(tok))
     return before, after

@@ -97,7 +97,7 @@ def test_side_values_below_threshold():
 def test_side_values_rejects_wrong_log():
     p = GameParams(1, 2)
     final, log = stabilize(new_state(7, p))
-    bad = type(log)({**log.fires, 0: 5}, log.total + 3)
+    bad = type(log)({**log.fires, 0: 5})
     with pytest.raises(InconsistentLog):
         side_values(final, bad)
 

@@ -199,6 +199,10 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _ = run_cli("base", "-a", "2", "-b", "3", "--eval", "zz")
     assert code == 2
+    # str.isdigit accepts a superscript two, which int() refuses, and an
+    # Arabic-Indic three, which int() reads as 3: neither is a digit here.
+    for word in ["\u00b2", "1,\u00b2", "1.\u00b2", "\u06632"]:
+        assert run_cli("base", "-a", "2", "-b", "3", "--eval", word) == (2, "")
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2

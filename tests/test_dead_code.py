@@ -1,4 +1,5 @@
-"""Every function, class and method in the package has a reader."""
+"""Every function, class and method in the package has a reader, and every
+field of a package dataclass or NamedTuple is read as an attribute."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,39 @@ def test_every_definition_is_used():
             if not outside:
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not dead, dead
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether the class is a dataclass or a NamedTuple."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+
+
+def _fields(tree: ast.Module):
+    """(class, field) for every annotated field of a dataclass or NamedTuple."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_record(node):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node, stmt.target.id
+
+
+def test_every_field_is_read():
+    # Passing a field to the constructor is no reader: only a load of the
+    # attribute, such as ``rep.f0``, is.
+    read = set()
+    for reader in READERS:
+        for path in sorted((ROOT / reader).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    unread = [
+        f"{path.relative_to(ROOT)}:{cls.lineno} {cls.name}.{field}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls, field in _fields(ast.parse(path.read_text(), str(path)))
+        if field not in read
+    ]
+    assert not unread, unread

@@ -268,7 +268,7 @@ def test_checker_cadence(strategy, every, monkeypatch):
     check = engine._Checker.check
 
     def counting_check(self, bb):
-        calls.append(bb.total)
+        calls.append(sum(bb.fcount))
         check(self, bb)
 
     monkeypatch.setattr(engine._Checker, "check", counting_check)

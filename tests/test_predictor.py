@@ -31,7 +31,6 @@ from chipfire import (
 from chipfire.analysis import firings_from_word
 from chipfire.errors import InvalidParams, NotRegular, ScanExhausted, WindowFailure
 from chipfire.predictor import compute_profile, final_answer, final_counts, profile_for
-from chipfire.words import Run
 
 SIX_PAIRS = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]
 
@@ -112,8 +111,8 @@ def test_aa_answer_is_runs_of_aa_final(a, n):
     answer = final_answer(n, GameParams(a, a))
     assert answer.word() == aa_final(n, a)
     k, q = divmod(n, 2 * a)
-    runs = (Run(a, k),) if k else ()
-    assert answer.head == runs + ((q,),) and answer.tail == runs
+    runs = (((a,), k),) if k else ()
+    assert answer.head == runs + (((q,), 1),) and answer.tail == runs
     assert answer.counts(GameParams(a, a)) == (None, None, None)
 
 

@@ -17,8 +17,9 @@ from chipfire import (
     to_base,
     word_to_string,
 )
+from chipfire.analysis import segments_weighted_sum
 from chipfire.errors import InvalidBase, ParseError
-from chipfire.words import Run, compact_segments, segment_digits, segment_length
+from chipfire.words import compact_segments, segment_digits, segment_length, segment_sum
 
 P23 = GameParams(2, 3)
 
@@ -163,7 +164,10 @@ def test_pure_fraction_and_empty():
 
 
 def test_parse_errors():
-    for bad in ["", "1..2", "1a2", "4,,2", "4,.2,", "-3"]:
+    # ASCII digits only: "\u00b2" is a superscript two and "\u0663" an
+    # Arabic-Indic three, both of which str.isdigit accepts.
+    for bad in ["", "1..2", "1a2", "4,,2", "4,.2,", "-3",
+                "\u00b2", "1,\u00b2", "1.\u00b2", "\u06632", "1,\u06632"]:
         with pytest.raises(ParseError):
             string_to_word(bad)
 
@@ -444,26 +448,31 @@ def test_eval_base_depends_only_on_the_reduced_base(w, pair, d):
 
 
 segment_lists = st.lists(
-    st.one_of(
-        st.lists(st.integers(min_value=0, max_value=12), max_size=5).map(tuple),
-        st.builds(Run, st.integers(min_value=0, max_value=12),
-                  st.integers(min_value=1, max_value=6)),
-    ),
+    st.tuples(st.lists(st.integers(min_value=0, max_value=12), max_size=5).map(tuple),
+              st.integers(min_value=1, max_value=6)),
     max_size=4,
 ).map(tuple)
 
 
-@given(segments=segment_lists)
-@example(segments=(Run(10, 2),))
-@example(segments=(Run(9, 3), (1, 2)))
-@example(segments=())
+@given(segments=segment_lists, split=st.integers(min_value=0, max_value=4))
+@example(segments=(((10,), 2),), split=0)
+@example(segments=(((9,), 3), ((1, 2), 1)), split=1)
+@example(segments=(((1, 2, 3), 4), ((256, 7), 1)), split=1)
+@example(segments=(((4, 0, 5), 3), ((2,), 2), ((7, 1), 5)), split=2)
+@example(segments=(), split=0)
 @settings(max_examples=200, deadline=None)
-def test_segments_match_their_digits(segments):
-    """Length, digits and compact text of a segment sequence agree with the
-    run-expanded digit tuple; a run of a digit above 9 has no compact text."""
-    digits = tuple(d for seg in segments
-                   for d in ((seg.digit,) * seg.count if type(seg) is Run else seg))
+def test_segments_match_their_digits(segments, split):
+    """Length, digits, digit sum and compact text of a segment sequence agree
+    with the expanded digit tuple, blocks of several digits repeated included;
+    a digit above 9 has no compact text.  Split into a head and a tail, the
+    segments have the weighted sum of their digits at vertices lo..hi."""
+    digits = tuple(d for block, count in segments for d in block * count)
     assert segment_digits(segments) == digits
     assert segment_length(segments) == len(digits)
+    assert segment_sum(segments) == sum(digits)
     expected = "".join(map(str, digits)) if all(d <= 9 for d in digits) else None
     assert compact_segments(segments) == expected
+    head, tail = segments[:split], segments[split:]
+    lo = 1 - segment_length(head)
+    assert segments_weighted_sum(head, tail) == sum(
+        v * d for v, d in enumerate(digits, start=lo))
