@@ -28,6 +28,7 @@ from .errors import ChipFiringError, InvalidParams, ParseError, ScanExhausted
 from .predictor import (  # noqa: F401
     FinalAnswer,
     final_answer,
+    final_answers,
     final_counts,
     final_state,
     profile_for,
@@ -125,21 +126,20 @@ def cmd_final(args, out) -> int:
         lo, hi = args.range
         if lo > hi or lo < 0:
             raise InvalidParams(f"bad range {lo}..{hi}")
-        ns = range(lo, hi + 1)
     else:
         if args.n is None:
             raise InvalidParams("final needs N or --range")
-        ns = [args.n]
-    answer_for = _oracle_answer if args.oracle else final_answer
-    for n in ns:
-        answer = answer_for(n, params)
+        lo = hi = args.n
+    answers = ((_oracle_answer(n, params) for n in range(lo, hi + 1)) if args.oracle
+               else final_answers(lo, hi, params))
+    for n, answer in enumerate(answers, lo):
         try:
             text = (json.dumps(_record(n, params, answer)) if fmt == "json"
                     else render_digits(answer.head, answer.tail, True,
                                        True if fmt == "list" else None))
-        except MemoryError:
+        except (MemoryError, OverflowError):
             # The answer itself is O(c + log n) segments; only its text can
-            # outgrow memory.
+            # outgrow memory, or repeat a block more times than an index holds.
             digits = segment_length(answer.head) + segment_length(answer.tail)
             raise InvalidParams(
                 f"n={n} has a final state of {digits} digits, more than memory holds"

@@ -381,9 +381,9 @@ def _run_random(bb: _Buffer, T: int, a: int, b: int, seed: int,
                 checker: _Checker | None) -> None:
     """Fire a uniformly chosen member of the firable set, one at a time.
 
-    The set is kept as a swap-pop list with a membership flag per cell, and
-    the pick uses Random(seed).random(), so the whole firing sequence is a
-    pure function of (seed, initial state).
+    The set is kept as a swap-pop list holding exactly the cells with at
+    least T chips, and the pick uses Random(seed).random(), so the whole
+    firing sequence is a pure function of (seed, initial state).
     """
     rand = _random.Random(seed).random
     buf = bb.buf
@@ -391,16 +391,12 @@ def _run_random(bb: _Buffer, T: int, a: int, b: int, seed: int,
     lo, hi = bb.lo, bb.hi
     due = checker.every if checker is not None else 0
     candidates = [i for i in range(lo, hi + 1) if buf[i] >= T]
-    queued = bytearray(len(buf))
-    for i in candidates:
-        queued[i] = 1
     while candidates:
         j = int(rand() * len(candidates))
         v = candidates[j]
         last = candidates.pop()
         if last is not v:
             candidates[j] = last
-        queued[v] = 0
         buf[v] -= T
         vm = v - 1
         vp = v + 1
@@ -411,15 +407,14 @@ def _run_random(bb: _Buffer, T: int, a: int, b: int, seed: int,
             lo = vm
         if vp > hi:
             hi = vp
-        # Only the three touched cells can have crossed the threshold.
-        if buf[v] >= T and not queued[v]:
-            queued[v] = 1
+        # Only the three touched cells can have changed membership: v left
+        # the list and rejoins if still firable, and a neighbour joins when
+        # this firing lifted it from below T to T or more.
+        if buf[v] >= T:
             candidates.append(v)
-        if buf[vm] >= T and not queued[vm]:
-            queued[vm] = 1
+        if T <= buf[vm] < T + a:
             candidates.append(vm)
-        if buf[vp] >= T and not queued[vp]:
-            queued[vp] = 1
+        if T <= buf[vp] < T + b:
             candidates.append(vp)
         if checker is not None:
             due -= 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .analysis import firings_from_weight, segments_weighted_sum
 # oracle_states stays importable here because span tracers patch it by module.
@@ -41,6 +41,7 @@ __all__ = [
     "profile_for",
     "FinalAnswer",
     "final_answer",
+    "final_answers",
     "final_state",
     "final_counts",
     "aa_final",
@@ -84,6 +85,13 @@ def elevated_increment(left: DigitWord, params: GameParams) -> tuple[DigitWord, 
         raise NotRegular(f"left word {ds} has a digit below a={a}")
     if any(d >= a + b for d in ds):
         raise NotRegular(f"left word {ds} is not a final-state part")
+    explosions = _increment(ds, a, b)
+    return DigitWord(tuple(ds), 0), explosions
+
+
+def _increment(ds: list, a: int, b: int) -> int:
+    """elevated_increment in place on a list of digits in [a, a+b); returns
+    the number of explosions."""
     ds[-1] += 1
     explosions = 0
     i = len(ds) - 1
@@ -96,7 +104,7 @@ def elevated_increment(left: DigitWord, params: GameParams) -> tuple[DigitWord, 
             break
         ds[i - 1] += a
         i -= 1
-    return DigitWord(tuple(ds), 0), explosions
+    return explosions
 
 
 def right_advance(prev_left: DigitWord, k: int, params: GameParams) -> int:
@@ -318,39 +326,64 @@ class FinalAnswer(NamedTuple):
 
 
 def final_answer(n: int, params: GameParams) -> FinalAnswer:
-    """The final state of n chips at the origin and its firing counts.
+    """The final state of n chips at the origin and its firing counts: the
+    one record of final_answers(n, n, params)."""
+    return next(final_answers(n, n, params))
+
+
+def final_answers(lo: int, hi: int, params: GameParams) -> Iterator[FinalAnswer]:
+    """The answers for n = lo..hi chips at the origin, in order.
 
     One dispatch: a == b has a closed form; gcd(a, b) = d > 1 lifts the
-    reduced game's answer (its firing sequences are admitted, so f0 and f1
-    carry over); a > b mirrors the (b, a) answer, which keeps the
-    origin count but not the origout count; coprime a < b reads the
-    certified table up to H and the structure theory past it.  The total is
-    left to FinalAnswer.counts, which reads M off the segments in
-    O(c + log n) past H: M scales by d under the lift and changes sign under
-    the mirror, as b - a does.
+    reduced game's answers (its firing sequences are admitted, so f0 and f1
+    carry over), each reduced answer for p serving n = p*d .. p*d + d - 1;
+    a > b mirrors the (b, a) answers, which keeps the origin count but not
+    the origout count; coprime a < b reads the certified table up to H and
+    the structure theory past it.  Past H the first left word is peeled from
+    its value and each later one is the elevated increment of the one
+    before, in place, whose explosions advance the settlement index; the
+    increment keeps the value and the digit range, so it gives the same word
+    in amortized O(1).  The total is left to FinalAnswer.counts, which reads
+    M off the segments in O(c + log n) past H: M scales by d under the lift
+    and changes sign under the mirror, as b - a does.
     """
-    if n < 0:
+    if lo < 0:
         raise InvalidParams("chip count must be non-negative")
     a, b = params.a, params.b
     if a == b:
         # aa_final as runs: k copies of a on each side of n mod 2a.  The
         # counts stay None: the side-value identities that give them for
         # a != b coincide here, though the state still determines them.
-        k, q = divmod(n, 2 * a)
-        side = (((a,), k),) if k else ()
-        return FinalAnswer(side + (((q,), 1),), side, None, None)
+        for n in range(lo, hi + 1):
+            k, q = divmod(n, 2 * a)
+            side = (((a,), k),) if k else ()
+            yield FinalAnswer(side + (((q,), 1),), side, None, None)
+        return
     d = params.d
     if d > 1:
-        p, q = divmod(n, d)
-        return _lift(final_answer(p, GameParams(a // d, b // d)), d, q)
+        p = lo // d
+        for answer in final_answers(p, hi // d, GameParams(a // d, b // d)):
+            yield from _lifts(answer, d, range(max(lo - p * d, 0), min(hi - p * d, d - 1) + 1))
+            p += 1
+        return
     if a > b:
-        return _mirror(final_answer(n, GameParams(b, a)))
+        for answer in final_answers(lo, hi, GameParams(b, a)):
+            yield _mirror(answer)
+        return
     prof = profile_for(params)
-    if n <= prof.H:
+    for n in range(lo, min(hi, prof.H) + 1):
         _, left, right, f0, f1 = prof.rows[n]
-        return FinalAnswer.parts(left, right, f0, f1)
-    left, k = _fast_parts(n, params, prof)
-    return FinalAnswer(((left.digits, 1),), seq_for(params).segments(k), k, k - params.c)
+        yield FinalAnswer.parts(left, right, f0, f1)
+    first = max(lo, prof.H + 1)
+    if first > hi:
+        return
+    seq, c = seq_for(params), params.c
+    left, k = _fast_parts(first, params, prof)
+    digits = list(left.digits)
+    for n in range(first, hi + 1):
+        if n > first:
+            k += _increment(digits, a, b)
+        yield FinalAnswer(((tuple(digits), 1),), seq.segments(k), k, k - c)
 
 
 def _split_origin(head: tuple) -> tuple[tuple, int]:
@@ -363,13 +396,16 @@ def _split_origin(head: tuple) -> tuple[tuple, int]:
     return tuple(rest), block[-1]
 
 
-def _lift(answer: FinalAnswer, d: int, q: int) -> FinalAnswer:
-    """lift_noncoprime on an answer: every digit times d, plus q at the origin."""
+def _lifts(answer: FinalAnswer, d: int, qs: range) -> Iterator[FinalAnswer]:
+    """lift_noncoprime on an answer for each q in qs: every digit times d,
+    scaled once, plus q at the origin."""
     def scale(segments):
         return tuple((tuple([x * d for x in block]), count) for block, count in segments)
 
     rest, origin = _split_origin(scale(answer.head))
-    return answer._replace(head=rest + (((origin + q,), 1),), tail=scale(answer.tail))
+    tail = scale(answer.tail)
+    for q in qs:
+        yield FinalAnswer(rest + (((origin + q,), 1),), tail, answer.f0, answer.f1, answer.total)
 
 
 def _mirror(answer: FinalAnswer) -> FinalAnswer:
@@ -379,8 +415,8 @@ def _mirror(answer: FinalAnswer) -> FinalAnswer:
         return tuple((block[::-1], count) for block, count in reversed(segments))
 
     rest, origin = _split_origin(answer.head)
-    return answer._replace(head=reverse(answer.tail) + (((origin,), 1),), tail=reverse(rest),
-                           f1=None)
+    return FinalAnswer(reverse(answer.tail) + (((origin,), 1),), reverse(rest),
+                       answer.f0, None, answer.total)
 
 
 def final_state(n: int, params: GameParams) -> DigitWord:

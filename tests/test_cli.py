@@ -1,5 +1,6 @@
 """CLI surface: output formats, exit codes, determinism."""
 
+import functools
 import hashlib
 import io
 import json
@@ -264,8 +265,11 @@ def test_oracle_beyond_memory_exits_two(argv, stdout, buffer, capsys):
 
 # 10**15 chips leave a final state of about 10**15 digits, whose text needs
 # petabytes, beyond any 64-bit address space, so building it fails at once.
-# The answer itself stays small; mid-size n could really be rendered.
+# From 10**40 chips a run's count outgrows an index, so repeating its text
+# overflows before any allocation.  The answer itself stays small; mid-size n
+# could really be rendered.
 TEXT_N = str(10**15)
+INDEX_N = str(10**40)
 
 
 @pytest.mark.parametrize("argv, digits", [
@@ -273,11 +277,22 @@ TEXT_N = str(10**15)
     (("final", TEXT_N, "-a", "2", "-b", "3", "--json"), 499999999999955),
     (("final", TEXT_N, "-a", "1", "-b", "1"), 10**15 + 1),
     (("final", TEXT_N, "-a", "3", "-b", "2", "--format", "list"), 499999999999955),
+    *((("final", INDEX_N, "-a", "2", "-b", "3", *form), 5 * 10**39 - 110)
+      for form in ((), ("--format", "list"), ("--json",))),
+    *((("final", INDEX_N, "-a", a, "-b", b, *form), digits)
+      for a, b, digits in (("3", "3", 10**40 // 3), ("4", "6", 25 * 10**38 - 110),
+                           ("3", "2", 5 * 10**39 - 110))
+      for form in ((), ("--format", "list"), ("--json",))),
+    (("final", "-a", "2", "-b", "3", "--range", INDEX_N, str(10**40 + 2)), 5 * 10**39 - 110),
+    (("final", "-a", "2", "-b", "3", "--range", INDEX_N, str(10**40 + 2), "--json"),
+     5 * 10**39 - 110),
 ])
 def test_final_text_beyond_memory_exits_two(argv, digits, capsys):
+    """No stdout and one error line; a range stops at its first record."""
     assert run_cli(*argv) == (2, "")
+    n = argv[argv.index("--range") + 1] if "--range" in argv else argv[1]
     assert capsys.readouterr().err == (
-        f"error: n={TEXT_N} has a final state of {digits} digits, more than memory holds\n"
+        f"error: n={n} has a final state of {digits} digits, more than memory holds\n"
     )
 
 
@@ -641,7 +656,8 @@ def test_record_lone_dot_forms():
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (5, 7), (3, 2), (5, 3), (4, 6), (2, 4)])
 def test_json_record_runs_one_dispatch(a, b, monkeypatch):
     """A record past H finds its left word once: the state and the firing
-    counts come from the same answer (the mirror and the gcd lift too)."""
+    counts come from the same answer (the mirror and the gcd lift too).  A
+    range past H peels only its first left word and steps the rest."""
     import chipfire.predictor as predictor
     from chipfire import GameParams
 
@@ -663,7 +679,67 @@ def test_json_record_runs_one_dispatch(a, b, monkeypatch):
     calls.clear()
     code, out = run_cli("final", "-a", str(a), "-b", str(b), "--range", str(first),
                         str(first + 40), "--json")
-    assert code == 0 and len(calls) == len(out.splitlines()) == 41
+    assert code == 0 and len(out.splitlines()) == 41 and len(calls) == 1
+
+
+# Every dispatch branch, (20, 21) with H = 1071, and (3, 5).
+STEP_PAIRS = BRANCH_PAIRS + [(20, 21), (3, 5)]
+ORACLE_STEP_PAIRS = {(1, 2), (2, 3), (3, 5), (20, 21)}
+ORACLE_MAX_N = 1500
+
+
+@functools.cache
+def _oracle_rows(a, b):
+    from chipfire import GameParams, oracle_rows
+
+    return tuple(oracle_rows(GameParams(a, b), ORACLE_MAX_N))
+
+
+def _first_stepped(a, b):
+    """d * (H + 1), the first n whose answer comes past the reduced pair's H
+    (0 for a = b, which has no H)."""
+    import chipfire.predictor as predictor
+    from chipfire import GameParams
+
+    if a == b:
+        return 0
+    d = GameParams(a, b).d
+    return d * (predictor.profile_for(GameParams(*sorted((a // d, b // d)))).H + 1)
+
+
+@given(pair=st.sampled_from(STEP_PAIRS), near=st.booleans(),
+       offset=st.integers(-40, 5), free_lo=st.integers(0, 10**5),
+       width=st.integers(0, 40), far=st.integers(0, 10**12))
+@example(pair=(20, 21), near=False, offset=0, free_lo=0, width=ORACLE_MAX_N, far=10**12)
+@settings(max_examples=60, deadline=None)
+def test_range_answers_equal_per_n_answers(pair, near, offset, free_lo, width, far):
+    """`final --range lo hi` prints the per-N outputs of `final N`, byte for
+    byte, in every format, for windows straddling d * (H + 1); the stepped
+    answers equal the per-N ones for lo up to 10**12; and for n <= 1500 they
+    match the oracle's rows."""
+    from chipfire import GameParams
+    from chipfire.predictor import final_answer, final_answers
+    from chipfire.words import segment_digits
+
+    a, b = pair
+    p = GameParams(a, b)
+    lo = max(0, _first_stepped(a, b) + offset) if near else free_lo
+    hi = lo + width
+    ab = ("-a", str(a), "-b", str(b))
+    for form in ((), ("--format", "list"), ("--json",)):
+        code, out = run_cli("final", *ab, "--range", str(lo), str(hi), *form)
+        per_n = [run_cli("final", str(n), *ab, *form) for n in range(lo, hi + 1)]
+        assert code == 0 and all(c == 0 for c, _ in per_n)
+        assert out == "".join(text for _, text in per_n), (pair, lo, hi, form)
+    assert list(final_answers(far, far + width, p)) == [
+        final_answer(n, p) for n in range(far, far + width + 1)
+    ], (pair, far)
+    if pair in ORACLE_STEP_PAIRS and lo <= ORACLE_MAX_N:
+        rows = _oracle_rows(a, b)[lo : hi + 1]
+        for row, answer in zip(rows, final_answers(lo, min(hi, ORACLE_MAX_N), p)):
+            n, left, right, f0, f1 = row
+            assert (segment_digits(answer.head), segment_digits(answer.tail),
+                    answer.f0, answer.f1) == (left, right, f0, f1), (pair, n)
 
 
 RENDER_PAIRS = sorted(set(BRANCH_PAIRS) | {(20, 21), (3, 8), (6, 9), (9, 6), (10, 15)})
