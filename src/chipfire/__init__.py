@@ -46,7 +46,6 @@ from .analysis import (
     weighted_sum,
 )
 from .settlements import (
-    balanced_B,
     delta_strings,
     dormant_census,
     is_dormant,

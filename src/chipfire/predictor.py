@@ -10,14 +10,16 @@ structure theory takes over:
   * the right part is the settlement whose index the side-value identities
     force: k = (n - leftsum - a*c) / (b - a).
 
-H is not taken on faith from the existence theorem: compute_profile certifies
-it against the oracle in one incremental pass (engine.oracle_rows, rows read
-straight off the chip buffer).  The pass finds B, then checks each increment
-as its row arrives (left transition = elevated-game increment, right index
-advance = explosion count, closed-form left = simulated left, right part =
-settlement word) and stops at the first n >= B where every left digit is at
-least a and a whole window of increments has passed: row H + window.  The
-profile keeps rows 0..H as its table.  A profile is immutable once computed;
+Neither threshold is taken on faith from the existence theorem: one loop in
+compute_profile finds B and certifies H against the oracle in one
+incremental pass (engine.oracle_rows, rows read straight off the chip
+buffer) under one scan cap.  Up to B it checks each right part against the
+settlement word; from B on it checks each increment as its row arrives
+(closed-form left = simulated left, left transition = elevated-game
+increment, right index advance = explosion count, right part = settlement
+word) and stops at the first n >= B where every left digit is at least a
+and a whole window of increments has passed: row H + window.  The profile
+keeps rows 0..H as its table.  A profile is immutable once computed;
 distinct parameter pairs can be profiled concurrently.
 """
 
@@ -25,14 +27,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .analysis import firings_from_weight, segments_weighted_sum
 # oracle_states stays importable here because span tracers patch it by module.
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
-from .errors import InvalidParams, NotRegular, WindowFailure
-from .settlements import balanced_B, seq_for
+from .errors import CensusMismatch, InvalidParams, NotRegular, ScanExhausted, WindowFailure
+from .settlements import highest_dormant_index, seq_for
 from .words import DigitWord, EMPTY_WORD, segment_digits
 
 __all__ = [
@@ -218,61 +219,75 @@ def compute_profile(
     check_window: int = 50,
     scan_limit: int = 20000,
 ) -> PredictorProfile:
-    """Find and certify the fast-path threshold H for a coprime pair a < b.
+    """Find the balanced threshold B and certify the fast-path threshold H for
+    a coprime pair a < b.
 
-    H is the smallest n >= B, up to scan_limit, such that every left digit is
-    >= a and, for ``check_window`` consecutive increments, the fast transition
-    (elevated left increment plus explosion-count index advance), the
-    closed-form left word and the settlement word all reproduce the oracle
-    exactly.  One oracle_rows pass serves both searches and stops at row
-    H + check_window: balanced_B reads it up to B, checking every right part
-    on the way, and each later row then completes one step of the window.
-    Raises ScanExhausted when there is no B up to scan_limit and WindowFailure
-    when no H certifies up to scan_limit.
+    B is the smallest n whose final right part sits beyond the last dormant
+    settlement.  From B on, every origin firing is answered by an origout
+    firing, the surplus f0 - f1 equals c, and the right part evaluates to a*c
+    in base b/a.  The settlement index of each right part is the origin's
+    firing count, and every right part up to B is checked against the
+    settlement sequence on the way.
+
+    H is the smallest n >= B such that every left digit is >= a and, for
+    ``check_window`` consecutive increments, the closed-form left word, the
+    fast transition (elevated left increment plus explosion-count index
+    advance) and the settlement word all reproduce the oracle exactly.
+
+    One oracle_rows pass of scan_limit + check_window chips serves both and
+    stops at row H + check_window.  Raises CensusMismatch when a right part
+    up to B is not its settlement, ScanExhausted when there is no B up to
+    scan_limit and WindowFailure when no H certifies up to scan_limit.
     """
     params.require_structured()
     seq = seq_for(params)
     a, ac = params.a, params.a * params.c
-    seen: list[tuple] = []     # every row read so far; seen[n] is row n
-
-    def recorded():
-        for row in oracle_rows(params, scan_limit + check_window):
-            seen.append(row)
-            yield row
-
-    rows = recorded()
-    B = balanced_B(params, scan_limit, rows)
-    # B >= 1, since no origin firing happens at n = 0; and a run starting past
-    # scan_limit cannot complete before the rows end.
+    last_dormant = highest_dormant_index(params)
+    rows: list[tuple] = []     # every row read so far; rows[n] is row n
+    B = None
     start = None               # first n of the current run of certified steps
-    for n, left, *_ in chain((seen[B],), rows):
-        if start is not None and not _step_ok(seen[n - 1], seen[n], params, seq, ac):
+    for row in oracle_rows(params, scan_limit + check_window):
+        n, left, right, f0, _ = row
+        rows.append(row)
+        if B is None:
+            if seq.word(f0) != right:
+                raise CensusMismatch(
+                    f"final right part of n={n} is not xi_{f0} for ({params.a},{params.b})"
+                )
+            if f0 <= last_dormant:
+                if n == scan_limit:
+                    raise ScanExhausted(
+                        f"no balanced n below {scan_limit} for ({params.a},{params.b})"
+                    )
+                continue
+            B = n
+        elif start is not None and not _step_ok(rows[n - 1], row, params, seq, ac):
             start = None
         if start is None and min(left) >= a:
             start = n
+        # A run starting past scan_limit cannot complete before the rows end.
         if start is not None and n - start == check_window:
             return PredictorProfile(params=params, B=B, H=start, verified_window=check_window,
-                                    rows=tuple(seen[: start + 1]))
+                                    rows=tuple(rows[: start + 1]))
     raise WindowFailure(
         f"no certified H below {scan_limit} for ({params.a},{params.b})"
     )
 
 
 def _step_ok(row: tuple, nxt: tuple, params: GameParams, seq, ac: int) -> bool:
-    """Whether the fast path reproduces the oracle's step from row n to row n + 1."""
+    """Whether the fast path reproduces the oracle's step from row n to row n + 1.
+
+    The left word is compared with its closed form first: one equal to it
+    has every digit in [a, a+b), so a copy of it can take the elevated
+    increment as it is.
+    """
     n, left, right, f0, _ = row
-    try:
-        inc, explosions = elevated_increment(DigitWord(left, 0), params)
-    except NotRegular:
-        return False
     closed = left_regular_word(n - ac, params)
-    return (
-        inc.digits == nxt[1]
-        and f0 + explosions == nxt[3]
-        and closed is not None
-        and closed.digits == left
-        and seq.word(f0) == right
-    )
+    if closed is None or closed.digits != left:
+        return False
+    digits = list(left)
+    explosions = _increment(digits, params.a, params.b)
+    return tuple(digits) == nxt[1] and f0 + explosions == nxt[3] and seq.word(f0) == right
 
 
 def profile_for(params: GameParams) -> PredictorProfile:

@@ -19,11 +19,10 @@ against the iterated sequence.
 from __future__ import annotations
 
 import threading
-from itertools import islice
 
 # oracle_states stays importable here because span tracers patch it by module.
-from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
-from .errors import CensusMismatch, InvalidParams, ScanExhausted
+from .engine import GameParams, oracle_states  # noqa: F401
+from .errors import CensusMismatch, InvalidParams
 from .words import DigitWord, segment_digits
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "settlement",
     "delta_strings",
     "dormant_census",
-    "balanced_B",
     "lemma8_inequalities",
     "SettlementSeq",
     "seq_for",
@@ -231,36 +229,6 @@ def dormant_census(params: GameParams) -> tuple[int, int]:
             f"disagree with count=c={seq.c}, highest={highest_dormant_index(params)}"
         )
     return count, highest
-
-
-def balanced_B(params: GameParams, scan_limit: int = 10000, rows=None) -> int:
-    """Smallest n whose final right part sits beyond the last dormant index.
-
-    From B on, every origin firing is answered by an origout firing, the
-    surplus f0 - f1 equals c, and the right part evaluates to a*c in base
-    b/a.  Found by simulation: the settlement index of the final right part
-    is exactly the origin's firing count, checked against the cached
-    sequence as we go.
-
-    ``rows`` is an oracle_rows pass from n = 0 to read (a fresh one by
-    default).  It is read up to row B and no further, so a caller can go on
-    reading the same pass.
-    """
-    params.require_structured()
-    seq = seq_for(params)
-    last_dormant = highest_dormant_index(params)
-    if rows is None:
-        rows = oracle_rows(params, scan_limit)
-    for n, _, right, f0, _ in islice(rows, scan_limit + 1):
-        if seq.word(f0) != right:
-            raise CensusMismatch(
-                f"final right part of n={n} is not xi_{f0} for ({params.a},{params.b})"
-            )
-        if f0 > last_dormant:
-            return n
-    raise ScanExhausted(
-        f"no balanced n below {scan_limit} for ({params.a},{params.b})"
-    )
 
 
 def lemma8_inequalities(params: GameParams) -> bool:

@@ -20,7 +20,6 @@ import pytest
 from chipfire import (
     GameParams,
     aa_final,
-    balanced_B,
     binary_trick_left,
     delta_strings,
     eval_base,
@@ -37,7 +36,7 @@ from chipfire import (
     word_to_string,
 )
 from chipfire import analysis, verify
-from chipfire.predictor import final_counts
+from chipfire.predictor import final_counts, profile_for
 from chipfire.settlements import seq_for
 from chipfire.verify import SIX_PAIRS, coprime_pairs
 
@@ -133,7 +132,7 @@ def test_c06_stabilized_side_values():
     }
     for a, b in SIX_PAIRS:
         p = GameParams(a, b)
-        B = balanced_B(p)
+        B = profile_for(p).B
         ac = a * p.c
         origouts = set()
         for n, state, _ in oracle_states(p, B + 200):

@@ -502,14 +502,12 @@ def _raise(*args, **kwargs):
 ])
 def test_text_output_skips_record(argv, monkeypatch):
     code, expected = run_cli(*argv)
-    import chipfire.analysis
-    import chipfire.cli
+    import chipfire.predictor
 
-    monkeypatch.setattr(chipfire.cli, "eval_base", _raise)
-    monkeypatch.setattr(chipfire.cli, "final_counts", _raise)
-    monkeypatch.setattr(chipfire.analysis, "firings_from_M", _raise)
-    monkeypatch.setattr(chipfire.analysis, "firings_from_word", _raise)
-    monkeypatch.setattr(chipfire.analysis, "combine", _raise)
+    monkeypatch.setattr(cli, "eval_base", _raise)
+    monkeypatch.setattr(cli, "_record", _raise)
+    monkeypatch.setattr(chipfire.predictor, "segments_weighted_sum", _raise)
+    monkeypatch.setattr(chipfire.predictor, "firings_from_weight", _raise)
     assert run_cli(*argv) == (code, expected)
     assert code == 0 and expected.count("\n") == (51 if "--range" in argv else 1)
 

@@ -1,8 +1,12 @@
-"""Every function, class and method in the package has a reader, and every
-field of a package dataclass or NamedTuple is read as an attribute."""
+"""Every function, class and method in the package has a reader, every
+field of a package dataclass or NamedTuple is read as an attribute, and
+every exported name exists."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "chipfire"
@@ -99,3 +103,18 @@ def test_every_field_is_read():
         if field not in read
     ]
     assert not unread, unread
+
+
+# __main__ is left out: importing it runs the command line.
+MODULES = sorted("chipfire" if path.stem == "__init__" else f"chipfire.{path.stem}"
+                 for path in PACKAGE.glob("*.py") if path.stem != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves(name):
+    """Each name in a module's ``__all__`` is defined there, so a star import
+    of the module succeeds."""
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, missing
+    exec(f"from {name} import *", {})

@@ -516,6 +516,44 @@ def test_certification_reads_rows_up_to_H_plus_window(monkeypatch, a, b, window)
     assert read == list(range(prof.H + window + 1))
 
 
+@pytest.mark.parametrize("a,b", [(2, 3), (4, 5), (20, 21)])
+def test_certification_checks_right_parts_up_to_B(monkeypatch, a, b):
+    """A right part below B that is not its settlement raises CensusMismatch.
+
+    Row B - 1 has the index of a dormant settlement; the settlement word at
+    that index is made to disagree with the oracle's right part.
+    """
+    from chipfire.errors import CensusMismatch
+    from chipfire.settlements import SettlementSeq, highest_dormant_index
+
+    p = GameParams(a, b)
+    prof = compute_profile(p)
+    k = prof.rows[prof.B - 1][3]
+    assert k <= highest_dormant_index(p)
+    real = SettlementSeq.word
+
+    def wrong_at_k(self, index):
+        word = real(self, index)
+        return word + (1,) if index == k else word
+
+    monkeypatch.setattr(SettlementSeq, "word", wrong_at_k)
+    with pytest.raises(CensusMismatch, match=f"is not xi_{k} for"):
+        compute_profile(p)
+
+
+COPRIME_UP_TO_15 = [(a, b) for b in range(2, 16) for a in range(1, b) if gcd(a, b) == 1]
+
+
+def test_B_and_H_laws():
+    """On every coprime pair a < b <= 15, H - B == a and B == c*a (mod b)."""
+    assert len(COPRIME_UP_TO_15) == 71
+    for a, b in COPRIME_UP_TO_15:
+        p = GameParams(a, b)
+        prof = profile_for(p)
+        assert prof.H - prof.B == a, (a, b, prof.B, prof.H)
+        assert (prof.B - p.c * a) % b == 0, (a, b, prof.B)
+
+
 # --- 1-b specializations ----------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 from chipfire import (
     ChipState,
     GameParams,
-    balanced_B,
+    compute_profile,
     delta_strings,
     dormant_census,
     is_dormant,
@@ -17,6 +17,7 @@ from chipfire import (
 )
 from chipfire.analysis import segments_weighted_sum
 from chipfire.errors import InvalidParams, ScanExhausted
+from chipfire.predictor import profile_for
 from chipfire.settlements import (
     highest_dormant_index,
     periodic_start,
@@ -187,15 +188,15 @@ def test_tetrahedral_dormancy_formula_drift():
 
 
 def test_balanced_B_values():
-    assert balanced_B(GameParams(2, 3)) == 13
-    assert balanced_B(GameParams(1, 2)) == 3
-    assert balanced_B(GameParams(3, 4)) == 25
-    assert balanced_B(GameParams(2, 5)) == 7
+    assert profile_for(GameParams(2, 3)).B == 13
+    assert profile_for(GameParams(1, 2)).B == 3
+    assert profile_for(GameParams(3, 4)).B == 25
+    assert profile_for(GameParams(2, 5)).B == 7
 
 
 def test_balanced_B_scan_exhausted():
     with pytest.raises(ScanExhausted):
-        balanced_B(GameParams(2, 3), scan_limit=5)
+        compute_profile(GameParams(2, 3), scan_limit=5)
 
 
 def test_balanced_B_is_minimal():
@@ -204,7 +205,7 @@ def test_balanced_B_is_minimal():
 
     for a, b in [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]:
         p = GameParams(a, b)
-        B = balanced_B(p)
+        B = profile_for(p).B
         ac = a * p.c
         for n, state, _ in oracle_states(p, B + 40):
             _, right = split(state)
