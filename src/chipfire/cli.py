@@ -42,13 +42,12 @@ from .settlements import (
 )
 from .verify import SUITES
 from .words import (
-    DigitWord,
     compact_segments,
     eval_base,
+    join_list_parts,
+    list_segments,
     render_digits,
-    segment_digits,
     segment_length,
-    segment_sum,
     string_to_word,
     to_base,
     word_to_string,
@@ -72,27 +71,29 @@ def _fmt(args) -> str:
 def _record(n: int, params: GameParams, answer: FinalAnswer) -> dict:
     """The JSON record of one final state."""
     f0, f1, total = answer.counts(params)
-    # S(b/a) = n on every state, so the two side values sum to n: only one
-    # part is evaluated, the other side is n minus it.  For a = b every power
-    # of b/a is one, so the left value is the digit sum of its segments;
-    # otherwise the part with fewer digits is materialized and evaluated.
-    if params.a == params.b:
-        left_value = segment_sum(answer.head)
-    elif segment_length(answer.head) <= segment_length(answer.tail):
-        left_value = eval_base(DigitWord(segment_digits(answer.head), 0), params)
-    else:
-        left_value = n - eval_base(DigitWord.fraction(segment_digits(answer.tail)), params)
-    right_value = n - left_value
-    # Each part is rendered once; a digit above 9 falls back to the list
-    # forms, whose lone-dot tokens ("14,.", ".,10") depend on the part.
+    # The answer carries the left value at b/a, an integer set from its
+    # counts; S(b/a) = n on every state, so the right value is n minus it.
+    left_value = answer.left_value
+    # Each part is rendered once.  A digit above 9 puts the state in list
+    # form, made from one comma list per part (a compact part's is its
+    # characters joined by commas), while a part without such a digit keeps
+    # its own compact text; the lone-dot tokens ("14,.", ".,10") depend on
+    # the part.
     head_text, tail_text = compact_segments(answer.head), compact_segments(answer.tail)
-    if head_text is None or tail_text is None:
-        head, tail = segment_digits(answer.head), segment_digits(answer.tail)
-        state = render_digits(((head, 1),), ((tail, 1),), True)
-        left = render_digits(((head, 1),), (), not head)
-        right = render_digits((), ((tail, 1),), True)
-    else:
+    if head_text is not None and tail_text is not None:
         state, left, right = head_text + "." + tail_text, head_text or ".", "." + tail_text
+    else:
+        if head_text is None:
+            head_list = list_segments(answer.head)
+            left = join_list_parts(head_list, "", False)
+        else:
+            head_list, left = ",".join(head_text), head_text or "."
+        if tail_text is None:
+            tail_list = list_segments(answer.tail)
+            right = join_list_parts("", tail_list, True)
+        else:
+            tail_list, right = ",".join(tail_text), "." + tail_text
+        state = join_list_parts(head_list, tail_list, True)
     return {
         "a": params.a,
         "b": params.b,
@@ -102,7 +103,7 @@ def _record(n: int, params: GameParams, answer: FinalAnswer) -> dict:
         "right": right,
         "settlement_index": f0 if params.is_structured() else None,
         "left_value_boa": str(left_value),
-        "right_value_boa": str(right_value),
+        "right_value_boa": str(n - left_value),
         "f0": f0,
         "f1": f1,
         "total_firings": total,
@@ -110,11 +111,13 @@ def _record(n: int, params: GameParams, answer: FinalAnswer) -> dict:
 
 
 def _oracle_answer(n: int, params: GameParams) -> FinalAnswer:
-    """The answer by simulation, with the counts read off the firing log."""
+    """The answer by simulation, with the counts read off the firing log and
+    the left value from them: the right part is worth a*(f0 - f1) at b/a."""
     state, log = stabilize_line(n, params, buffer="an oracle buffer")
     left, right = analysis.split(state)
-    return FinalAnswer.parts(left.digits, right.digits, log.fires.get(0, 0),
-                             log.fires.get(1, 0), log.total)
+    f0, f1 = log.fires.get(0, 0), log.fires.get(1, 0)
+    return FinalAnswer.parts(left.digits, right.digits, n - params.a * (f0 - f1), f0, f1,
+                             log.total)
 
 
 def cmd_final(args, out) -> int:

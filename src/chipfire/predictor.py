@@ -307,25 +307,35 @@ class FinalAnswer(NamedTuple):
     ``head`` holds the digits at positions hi..0 and ``tail`` those at -1,
     -2, ..., each as (digits, count) segments (see words.segment_digits).
     Past H the tail is (((c(b-a),), p+1), (delta_q, 1)), so the answer's
-    size is O(c + log n) however long the state is.  f0 and f1 are the
-    origin and origout firing counts, None where the dispatch does not
-    define them.
+    size is O(c + log n) however long the state is.
+    ``left_value`` is the value of the head at b/a, an integer set from the
+    counts, never by evaluating digits.  S(b/a) = n, and origin firings move
+    a to the right part at b/a while origout firings move it back, so the
+    right part is worth a*(f0 - f1) and the left value is n - a*(f0 - f1) on
+    table rows and --oracle answers, and n - a*c past H, the value its left
+    word was peeled from.  The gcd lift makes it d*L + q from the reduced
+    answer's L, the mirror the origin digit plus the (b, a) answer's right
+    value b*(f0 - f1), and a = b (every power of b/a is one) the digit sum
+    a*k + q.
+    f0 and f1 are the origin and origout firing counts, None where the
+    dispatch does not define them.
     ``total`` is the total firing count when it was logged; otherwise
     ``counts`` reads it off the segments.
     """
 
     head: tuple
     tail: tuple
+    left_value: int
     f0: int | None
     f1: int | None
     total: int | None = None
 
     @classmethod
-    def parts(cls, left, right, f0, f1, total=None) -> "FinalAnswer":
+    def parts(cls, left, right, left_value, f0, f1, total=None) -> "FinalAnswer":
         """The answer for a state given as its digit tuples left of the origin
         (ending with the origin digit) and right of it."""
         return cls(((left, 1),) if left else (), ((right, 1),) if right else (),
-                   f0, f1, total)
+                   left_value, f0, f1, total)
 
     def word(self) -> DigitWord:
         head, tail = segment_digits(self.head), segment_digits(self.tail)
@@ -360,7 +370,8 @@ def final_answers(lo: int, hi: int, params: GameParams) -> Iterator[FinalAnswer]
     increment keeps the value and the digit range, so it gives the same word
     in amortized O(1).  The total is left to FinalAnswer.counts, which reads
     M off the segments in O(c + log n) past H: M scales by d under the lift
-    and changes sign under the mirror, as b - a does.
+    and changes sign under the mirror, as b - a does.  Each branch sets the
+    left value at b/a from the counts it has (see FinalAnswer).
     """
     if lo < 0:
         raise InvalidParams("chip count must be non-negative")
@@ -372,7 +383,7 @@ def final_answers(lo: int, hi: int, params: GameParams) -> Iterator[FinalAnswer]
         for n in range(lo, hi + 1):
             k, q = divmod(n, 2 * a)
             side = (((a,), k),) if k else ()
-            yield FinalAnswer(side + (((q,), 1),), side, None, None)
+            yield FinalAnswer(side + (((q,), 1),), side, a * k + q, None, None)
         return
     d = params.d
     if d > 1:
@@ -383,22 +394,23 @@ def final_answers(lo: int, hi: int, params: GameParams) -> Iterator[FinalAnswer]
         return
     if a > b:
         for answer in final_answers(lo, hi, GameParams(b, a)):
-            yield _mirror(answer)
+            yield _mirror(answer, b)
         return
     prof = profile_for(params)
     for n in range(lo, min(hi, prof.H) + 1):
         _, left, right, f0, f1 = prof.rows[n]
-        yield FinalAnswer.parts(left, right, f0, f1)
+        yield FinalAnswer.parts(left, right, n - a * (f0 - f1), f0, f1)
     first = max(lo, prof.H + 1)
     if first > hi:
         return
     seq, c = seq_for(params), params.c
+    ac = a * c
     left, k = _fast_parts(first, params, prof)
     digits = list(left.digits)
     for n in range(first, hi + 1):
         if n > first:
             k += _increment(digits, a, b)
-        yield FinalAnswer(((tuple(digits), 1),), seq.segments(k), k, k - c)
+        yield FinalAnswer(((tuple(digits), 1),), seq.segments(k), n - ac, k, k - c)
 
 
 def _split_origin(head: tuple) -> tuple[tuple, int]:
@@ -413,25 +425,29 @@ def _split_origin(head: tuple) -> tuple[tuple, int]:
 
 def _lifts(answer: FinalAnswer, d: int, qs: range) -> Iterator[FinalAnswer]:
     """lift_noncoprime on an answer for each q in qs: every digit times d,
-    scaled once, plus q at the origin."""
+    scaled once, plus q at the origin, which is worth d*L + q at b/a."""
     def scale(segments):
         return tuple((tuple([x * d for x in block]), count) for block, count in segments)
 
     rest, origin = _split_origin(scale(answer.head))
     tail = scale(answer.tail)
     for q in qs:
-        yield FinalAnswer(rest + (((origin + q,), 1),), tail, answer.f0, answer.f1, answer.total)
+        yield FinalAnswer(rest + (((origin + q,), 1),), tail, d * answer.left_value + q,
+                          answer.f0, answer.f1, answer.total)
 
 
-def _mirror(answer: FinalAnswer) -> FinalAnswer:
-    """mirror_word on an answer: the tail reversed becomes the head, ending
-    at the origin digit, and the rest of the head reversed the tail."""
+def _mirror(answer: FinalAnswer, a: int) -> FinalAnswer:
+    """mirror_word on an answer of a pair (a, b), a < b: the tail reversed
+    becomes the head, ending at the origin digit, and the rest of the head
+    reversed the tail.  The new head is worth the origin digit plus the old
+    tail's value a*(f0 - f1), read while f1, which the mirror drops, is
+    still known."""
     def reverse(segments):
         return tuple((block[::-1], count) for block, count in reversed(segments))
 
     rest, origin = _split_origin(answer.head)
     return FinalAnswer(reverse(answer.tail) + (((origin,), 1),), reverse(rest),
-                       answer.f0, None, answer.total)
+                       origin + a * (answer.f0 - answer.f1), answer.f0, None, answer.total)
 
 
 def final_state(n: int, params: GameParams) -> DigitWord:

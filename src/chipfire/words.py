@@ -30,6 +30,8 @@ __all__ = [
     "segment_length",
     "segment_sum",
     "compact_segments",
+    "list_segments",
+    "join_list_parts",
     "string_to_word",
 ]
 
@@ -315,6 +317,31 @@ def compact_segments(segments: tuple) -> str | None:
     return "".join(parts)
 
 
+def list_segments(segments: tuple) -> str:
+    """The digits of a segment sequence joined by commas ("14,3,10").
+
+    Each block is formatted once and its text repeated, so a run of k
+    copies of one digit costs one str call and one string product.
+    """
+    parts = []
+    for block, count in segments:
+        if block and count:
+            text = ",".join(map(str, block))
+            parts.append((text + ",") * (count - 1) + text)
+    return ",".join(parts)
+
+
+def join_list_parts(head_text: str, tail_text: str, want_dot: bool) -> str:
+    """The list-form text of a word from the list texts of its two parts;
+    ``want_dot`` prints the radix point."""
+    out = head_text + "." + tail_text if want_dot else head_text
+    if "," not in out:
+        # A comma-less rendering would read back as compact digits; emit the
+        # radix dot as its own comma-separated token instead ("14,.", ".,10").
+        out = ",".join([text for text in (head_text, ".", tail_text) if text])
+    return out
+
+
 def render_digits(head: tuple, tail: tuple, want_dot: bool,
                   list_form: bool | None = None) -> str:
     """The text of a word whose digits are the segments ``head`` before the
@@ -328,15 +355,7 @@ def render_digits(head: tuple, tail: tuple, want_dot: bool,
             return compact_head + "." + compact_tail if want_dot else compact_head
         if list_form is False:
             raise ParseError("compact form cannot express digits above 9")
-    head_text = list(map(str, segment_digits(head)))
-    tail_text = list(map(str, segment_digits(tail)))
-    out = (",".join(head_text) + "." + ",".join(tail_text) if want_dot
-           else ",".join(head_text))
-    if "," not in out:
-        # A comma-less rendering would read back as compact digits; emit the
-        # radix dot as its own comma-separated token instead ("14,.", ".,10").
-        out = ",".join(head_text + ["."] + tail_text)
-    return out
+    return join_list_parts(list_segments(head), list_segments(tail), want_dot)
 
 
 def string_to_word(text: str) -> DigitWord:

@@ -613,28 +613,33 @@ def test_record_renders_like_three_calls(a, b):
         assert out.splitlines() == [json.dumps(rec) for rec in want], (a, b, oracle)
 
 
+def _no_eval(*args, **kwargs):
+    raise AssertionError("a JSON record must not evaluate a part")
+
+
 @pytest.mark.parametrize("a, b", BRANCH_PAIRS)
 def test_record_evaluates_only_the_shorter_part(a, b, monkeypatch):
-    import chipfire.cli
-    from chipfire import eval_base, string_to_word
+    """No part is evaluated at all: each record takes its left value from
+    the answer's counts, and that value equals the exact value of its left
+    part (the reference uses the real eval_base), the right value that of
+    its right part."""
+    import chipfire.words
+    from chipfire import DigitWord, GameParams, eval_base, string_to_word
 
-    evaluated = []
-
-    def counting_eval_base(w, params):
-        evaluated.append(len(w.digits))
-        return eval_base(w, params)
-
-    monkeypatch.setattr(chipfire.cli, "eval_base", counting_eval_base)
+    monkeypatch.setattr(cli, "eval_base", _no_eval)
+    monkeypatch.setattr(chipfire.words, "eval_base", _no_eval)
+    p = GameParams(a, b)
     for oracle in ((), ("--oracle",)):
-        evaluated.clear()
         code, out = run_cli("final", "-a", str(a), "-b", str(b), "--range", "0", "300",
                             "--json", *oracle)
         recs = [json.loads(line) for line in out.splitlines()]
-        # For a = b every power of b/a is one: each value is a digit sum.
-        assert code == 0 and len(recs) == 301 and len(evaluated) == (0 if a == b else 301)
-        for rec, digits in zip(recs, evaluated):
+        assert code == 0 and len(recs) == 301
+        for rec in recs:
             w = string_to_word(rec["state"])
-            assert digits <= min(len(w.integer_digits()), len(w.fraction_digits())), rec
+            left = DigitWord(w.integer_digits(), 0)
+            right = DigitWord.fraction(w.fraction_digits())
+            assert rec["left_value_boa"] == str(eval_base(left, p)), (rec, oracle)
+            assert rec["right_value_boa"] == str(eval_base(right, p)), (rec, oracle)
 
 
 def test_record_lone_dot_forms():
@@ -643,12 +648,16 @@ def test_record_lone_dot_forms():
     from chipfire.predictor import FinalAnswer
 
     def answer(word):
-        return FinalAnswer.parts(word.integer_digits(), word.fraction_digits(), 0, 0, 0)
+        # The left part is the one digit 14 at the origin, worth 14.
+        return FinalAnswer.parts(word.integer_digits(), word.fraction_digits(), 14, 0, 0, 0)
 
     rec = _record(0, GameParams(20, 21), answer(DigitWord((14, 10), -1)))
     assert (rec["state"], rec["left"], rec["right"]) == ("14,.,10", "14,.", ".,10")
     rec = _record(0, GameParams(20, 21), answer(DigitWord((14, 3, 2), -2)))
     assert (rec["state"], rec["left"], rec["right"]) == ("14.3,2", "14,.", ".32")
+    assert rec["left_value_boa"] == "14"
+    rec = _record(0, GameParams(20, 21), FinalAnswer.parts((), (10,), 0, 0, 0, 0))
+    assert (rec["state"], rec["left"], rec["right"]) == (".,10", ".", ".,10")
 
 
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (5, 7), (3, 2), (5, 3), (4, 6), (2, 4)])
@@ -745,19 +754,22 @@ RENDER_PAIRS = sorted(set(BRANCH_PAIRS) | {(20, 21), (3, 8), (6, 9), (9, 6), (10
 
 @given(pair=st.sampled_from(RENDER_PAIRS),
        n=st.one_of(st.integers(min_value=0, max_value=1500),
-                   st.integers(min_value=0, max_value=10**5)))
-@example(pair=(20, 21), n=1071)
-@example(pair=(20, 21), n=1072)
-@example(pair=(1, 2), n=10**5)
-@example(pair=(9, 6), n=10**5)
-@example(pair=(10, 15), n=10**5 - 1)
+                   st.integers(min_value=0, max_value=10**5)),
+       oracle_n=st.integers(min_value=0, max_value=400))
+@example(pair=(20, 21), n=1071, oracle_n=400)
+@example(pair=(20, 21), n=1072, oracle_n=0)
+@example(pair=(1, 2), n=10**5, oracle_n=1)
+@example(pair=(9, 6), n=10**5, oracle_n=399)
+@example(pair=(10, 15), n=10**5 - 1, oracle_n=398)
+@example(pair=(6, 9), n=10**5, oracle_n=397)
 @settings(max_examples=150, deadline=None)
-def test_final_renders_like_the_materialized_word(pair, n):
+def test_final_renders_like_the_materialized_word(pair, n, oracle_n):
     """Text rendered from the answer's segments (runs included) and the JSON
-    record equal the renderers applied to the materialized state, on every
-    dispatch branch, on both sides of H ((20, 21) has H = 1071), and with
-    digits above 9 ((6, 9), (9, 6) and (10, 15))."""
-    from chipfire import GameParams, final_state, word_to_string
+    record, whose values come from the answer's counts, equal the renderers
+    and the exact evaluation applied to the materialized state, on every
+    dispatch branch, on both sides of H ((20, 21) has H = 1071), with digits
+    above 9 ((6, 9), (9, 6) and (10, 15)), and for `--oracle` answers."""
+    from chipfire import GameParams, final_state, stabilize_line, state_word, word_to_string
 
     a, b = pair
     p = GameParams(a, b)
@@ -769,6 +781,10 @@ def test_final_renders_like_the_materialized_word(pair, n):
     assert run_cli(*argv, "--format", "list") == (0, listed + "\n")
     record = _record_three_calls(n, p, word, None)
     assert run_cli(*argv, "--json") == (0, json.dumps(record) + "\n")
+    state, log = stabilize_line(oracle_n, p)
+    record = _record_three_calls(oracle_n, p, state_word(state), log)
+    assert run_cli("final", str(oracle_n), *argv[2:], "--oracle", "--json") == (
+        0, json.dumps(record) + "\n")
 
 
 # sha256 of stdout, fixed before `final` rendered from segments, so that
