@@ -31,7 +31,6 @@ __all__ = [
     "weighted_sum",
     "firings_from_M",
     "segments_weighted_sum",
-    "firings_from_word",
     "firings_from_weight",
 ]
 
@@ -207,13 +206,6 @@ def segments_weighted_sum(head: tuple, tail: tuple) -> int:
         m += k * sum(map(mul, range(v, v + w), block)) + sum(block) * w * (k * (k - 1) // 2)
         v += w * k
     return m
-
-
-def firings_from_word(word: DigitWord, params: GameParams) -> int:
-    """firings_from_M of the state whose string is ``word``."""
-    return firings_from_weight(
-        segments_weighted_sum(((word.integer_digits(), 1),), ((word.fraction_digits(), 1),)),
-        params)
 
 
 def firings_from_weight(m: int, p: GameParams) -> int:

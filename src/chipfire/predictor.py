@@ -19,13 +19,15 @@ settlement word; from B on it checks each increment as its row arrives
 increment, right index advance = explosion count, right part = settlement
 word) and stops at the first n >= B where every left digit is at least a
 and a whole window of increments has passed: row H + window.  The profile
-keeps rows 0..H as its table.  A profile is immutable once computed;
-distinct parameter pairs can be profiled concurrently.
+keeps rows 0..H as its table.  A profile is immutable once computed, and
+profile_for caches one per pair with functools.cache; distinct parameter
+pairs can be profiled concurrently (two racing calls on one pair may both
+compute it, and get equal profiles).
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -64,7 +66,6 @@ class PredictorProfile:
     """Certified thresholds for one coprime pair a < b and the oracle rows
     (n, left, right, f0, f1) for n = 0..H that they were certified from."""
 
-    params: GameParams
     B: int
     H: int
     verified_window: int
@@ -210,10 +211,6 @@ def mirror_word(w: DigitWord) -> DigitWord:
 # Profiles.
 # ---------------------------------------------------------------------------
 
-_PROFILES: dict[tuple[int, int], PredictorProfile] = {}
-_PROFILES_LOCK = threading.Lock()
-
-
 def compute_profile(
     params: GameParams,
     check_window: int = 50,
@@ -267,7 +264,7 @@ def compute_profile(
             start = n
         # A run starting past scan_limit cannot complete before the rows end.
         if start is not None and n - start == check_window:
-            return PredictorProfile(params=params, B=B, H=start, verified_window=check_window,
+            return PredictorProfile(B=B, H=start, verified_window=check_window,
                                     rows=tuple(rows[: start + 1]))
     raise WindowFailure(
         f"no certified H below {scan_limit} for ({params.a},{params.b})"
@@ -290,15 +287,11 @@ def _step_ok(row: tuple, nxt: tuple, params: GameParams, seq, ac: int) -> bool:
     return tuple(digits) == nxt[1] and f0 + explosions == nxt[3] and seq.word(f0) == right
 
 
+@functools.cache
 def profile_for(params: GameParams) -> PredictorProfile:
-    key = (params.a, params.b)
-    with _PROFILES_LOCK:
-        prof = _PROFILES.get(key)
-    if prof is None:
-        prof = compute_profile(params)
-        with _PROFILES_LOCK:
-            _PROFILES[key] = prof
-    return prof
+    """The certified profile of a coprime pair a < b, computed once per
+    process for equal parameters."""
+    return compute_profile(params)
 
 
 class FinalAnswer(NamedTuple):

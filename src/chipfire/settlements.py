@@ -18,6 +18,7 @@ against the iterated sequence.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 # oracle_states stays importable here because span tracers patch it by module.
@@ -186,17 +187,11 @@ class SettlementSeq:
         return DigitWord.fraction(self.word(k))
 
 
-_SEQS: dict[tuple[int, int], SettlementSeq] = {}
-_SEQS_LOCK = threading.Lock()
-
-
+@functools.cache
 def seq_for(params: GameParams) -> SettlementSeq:
-    key = (params.a, params.b)
-    with _SEQS_LOCK:
-        seq = _SEQS.get(key)
-        if seq is None:
-            seq = _SEQS[key] = SettlementSeq(params)
-        return seq
+    """The settlement sequence of a structured pair, one per process for
+    equal parameters."""
+    return SettlementSeq(params)
 
 
 def settlement(k: int, params: GameParams) -> DigitWord:

@@ -410,7 +410,14 @@ def one_b_suite(max_n: int = 500, trick_max: int = 1000) -> SuiteReport:
     """1-b laws: settlement formula, digit-(b-1) count f0(n) - 1, binary
     left-part trick, and the R(b) left-part law with its index offset pinned by
     simulation; the refuted valuation-sum count is a note with its first
-    counterexample per b."""
+    counterexample per b.
+
+    One oracle pass per b serves every law, each row checked as it arrives:
+    (1, 2) runs to the largest of max_n, trick_max and 220 (the end of the
+    R(b) checks), (1, 3) to the larger of max_n and 220."""
+    if max_n < 0 or trick_max < 0:
+        raise InvalidParams("chip count must be non-negative")
+    r_max = 220
     rep = SuiteReport("one-b")
     for b in (2, 3, 5):
         p = GameParams(1, b)
@@ -421,25 +428,41 @@ def one_b_suite(max_n: int = 500, trick_max: int = 1000) -> SuiteReport:
                 f"b={b}: (b-1)_(k-1) b formula breaks at k={k}",
             )
     first_mismatches = []
-    for b in (2, 3):
-        p = GameParams(1, b)
+    for b, top in ((2, max(max_n, trick_max, r_max)), (3, max(max_n, r_max))):
         first = None
-        for n, _, right, f0, _ in oracle_rows(p, max_n):
-            if n <= b:
-                continue
-            true_count = right.count(b - 1)
-            rep.check(
-                true_count == f0 - 1,
-                f"b={b} n={n}: digit-(b-1) count is {true_count}, "
-                f"f0(n) - 1 is {f0 - 1}",
-            )
-            if first is None:
-                stated = one_b_right_length(n, b)
-                if stated != true_count:
-                    first = (
-                        f"b={b} n={n}: digit-(b-1) count is {true_count}, "
-                        f"valuation sum gives {stated}"
-                    )
+        for n, left, right, f0, _ in oracle_rows(GameParams(1, b), top):
+            if b < n <= max_n:
+                true_count = right.count(b - 1)
+                rep.check(
+                    true_count == f0 - 1,
+                    f"b={b} n={n}: digit-(b-1) count is {true_count}, "
+                    f"f0(n) - 1 is {f0 - 1}",
+                )
+                if first is None:
+                    stated = one_b_right_length(n, b)
+                    if stated != true_count:
+                        first = (
+                            f"b={b} n={n}: digit-(b-1) count is {true_count}, "
+                            f"valuation sum gives {stated}"
+                        )
+            if b == 2 and 4 <= n <= trick_max:
+                rep.check(
+                    left == binary_trick_left(n).digits,
+                    f"b=2 n={n}: binary left-part trick differs from simulation",
+                )
+            # R(b) law: phi(n)^L is the (n-1)-th entry (the n-2 indexing in
+            # circulation is off by one; pinned at n = b+2 and asserted after)
+            if n == b + 2:
+                rep.check(
+                    left == r_sequence(b, n - 1).digits
+                    and left != r_sequence(b, n - 2).digits,
+                    f"b={b}: R-sequence offset is not n-1 at n={n}",
+                )
+            elif b + 2 < n <= r_max:
+                rep.check(
+                    left == r_sequence(b, n - 1).digits,
+                    f"b={b} n={n}: left part is not R(b)_(n-1)",
+                )
         if first:
             first_mismatches.append(first)
     if first_mismatches:
@@ -448,34 +471,6 @@ def one_b_suite(max_n: int = 500, trick_max: int = 1000) -> SuiteReport:
             "match simulation everywhere; the true count is f0(n) - 1 "
             f"(first mismatch per b: {'; '.join(first_mismatches)})"
         )
-    p12 = GameParams(1, 2)
-    for n, left, _, _, _ in oracle_rows(p12, trick_max):
-        if n < 4:
-            continue
-        rep.check(
-            left == binary_trick_left(n).digits,
-            f"b=2 n={n}: binary left-part trick differs from simulation",
-        )
-    # R(b) law: phi(n)^L is the (n-1)-th entry (the n-2 indexing in
-    # circulation is off by one; pinned at n = b+2 and asserted after)
-    for b in (2, 3):
-        p = GameParams(1, b)
-        offset_checked = False
-        for n, left, _, _, _ in oracle_rows(p, 220):
-            if n < b + 2:
-                continue
-            if not offset_checked:
-                rep.check(
-                    left == r_sequence(b, n - 1).digits
-                    and left != r_sequence(b, n - 2).digits,
-                    f"b={b}: R-sequence offset is not n-1 at n={n}",
-                )
-                offset_checked = True
-            else:
-                rep.check(
-                    left == r_sequence(b, n - 1).digits,
-                    f"b={b} n={n}: left part is not R(b)_(n-1)",
-                )
     rep.notes.append(
         "the 1-b left part follows the R(b) sequence at index n-1 "
         "(phi(b+2)^L = 11 = R(b)_(b+1)); an n-2 indexing is off by one"

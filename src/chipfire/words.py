@@ -28,7 +28,6 @@ __all__ = [
     "render_digits",
     "segment_digits",
     "segment_length",
-    "segment_sum",
     "compact_segments",
     "list_segments",
     "join_list_parts",
@@ -286,11 +285,6 @@ def segment_digits(segments: tuple) -> tuple[int, ...]:
 
 def segment_length(segments: tuple) -> int:
     return sum(len(block) * count for block, count in segments)
-
-
-def segment_sum(segments: tuple) -> int:
-    """The digit sum of a segment sequence."""
-    return sum(sum(block) * count for block, count in segments)
 
 
 def compact_segments(segments: tuple) -> str | None:

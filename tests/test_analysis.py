@@ -22,7 +22,6 @@ from chipfire import (
     weighted_sum,
     word_to_string,
 )
-from chipfire.analysis import firings_from_word
 from chipfire.errors import DivisionByZero, EqualRates, InconsistentLog, NotDivisible
 
 
@@ -121,28 +120,6 @@ def test_firings_from_M_errors():
     p = GameParams(1, 3)
     with pytest.raises(NotDivisible):
         firings_from_M(ChipState(p, {1: 1}))
-
-
-@given(
-    chips=st.dictionaries(
-        st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=15),
-        max_size=10,
-    ),
-    pair=st.sampled_from([(1, 2), (2, 3), (1, 3), (3, 2), (4, 6), (5, 7), (2, 2)]),
-)
-@settings(max_examples=200, deadline=None)
-def test_firings_from_word_matches_firings_from_M(chips, pair):
-    """Reading M off the state word gives the ChipState count, and the same
-    refusal (EqualRates, NotDivisible) where there is none."""
-    state = ChipState(GameParams(*pair), chips)
-    word = state_word(state)
-    try:
-        expected = firings_from_M(state)
-    except (EqualRates, NotDivisible) as exc:
-        with pytest.raises(type(exc)):
-            firings_from_word(word, state.params)
-        return
-    assert firings_from_word(word, state.params) == expected
 
 
 def test_firings_from_M_mirrored_params():

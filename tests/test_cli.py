@@ -148,7 +148,7 @@ def test_verify_invariants_scoped():
     assert code == 0 and "0 failures" in out
 
 
-def test_verify_one_b_fails_with_counterexample():
+def test_verify_one_b_passes_with_valuation_sum_note():
     """The valuation-sum clause is genuinely false from n=12 (b=2) on; the
     suite reports the minimal counterexample as a note and passes on the
     true count f0(n) - 1."""
@@ -323,6 +323,9 @@ def test_final_digits_above_255():
     (("verify", "all", "--max-n", "-3"), "max_n must be non-negative, got -3"),
     (("settlements", "-a", "2", "-b", "3", "-k", "-1"),
      "settlement index must be non-negative"),
+    (("verify", "one-b", "--max-n", "-3"), "chip count must be non-negative"),
+    (("verify", "predictor", "--max-n", "-3"), "chip count must be non-negative"),
+    (("verify", "invariants", "--max-n", "-3"), "chip count must be non-negative"),
 ])
 def test_out_of_range_inputs_exit_two(argv, message, capsys):
     # A cadence of 0 used to turn the confluence suite's conservation checks
@@ -564,14 +567,15 @@ def _record_three_calls(n, params, word, log):
     left and right parts, each with its own word_to_string call, and by
     evaluating both parts exactly."""
     from chipfire import DigitWord, eval_base, word_to_string
-    from chipfire.analysis import firings_from_word
+    from chipfire.analysis import firings_from_weight
     from chipfire.predictor import final_counts
 
     if log is not None:
         f0, f1, total = log.fires.get(0, 0), log.fires.get(1, 0), log.total
     else:
         f0, f1, _ = final_counts(n, params)
-        total = None if params.a == params.b else firings_from_word(word, params)
+        m = sum(v * d for v, d in enumerate(word.digits, -word.hi))
+        total = None if params.a == params.b else firings_from_weight(m, params)
     left = DigitWord(word.integer_digits(), 0)
     right = DigitWord.fraction(word.fraction_digits())
     return {

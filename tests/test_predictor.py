@@ -28,7 +28,7 @@ from chipfire import (
     state_word,
     word_to_string,
 )
-from chipfire.analysis import firings_from_word
+from chipfire.analysis import firings_from_weight
 from chipfire.errors import InvalidParams, NotRegular, ScanExhausted, WindowFailure
 from chipfire.predictor import compute_profile, final_answer, final_counts, profile_for
 
@@ -349,7 +349,9 @@ def test_final_counts_total_matches_digit_sum(pair, n):
     """The total from the settlement index equals M/(b-a) read off every
     digit of the final state, on both sides of H ((20, 21) has H = 1071)."""
     p = GameParams(*pair)
-    expected = None if p.a == p.b else firings_from_word(final_state(n, p), p)
+    word = final_state(n, p)
+    m = sum(v * d for v, d in enumerate(word.digits, -word.hi))
+    expected = None if p.a == p.b else firings_from_weight(m, p)
     assert final_counts(n, p)[2] == expected
 
 
@@ -440,8 +442,7 @@ def _compute_profile_two_pass(params, check_window=50, scan_limit=20000):
                     (n, lefts[n], words[n].fraction_digits(), f0s[n], f1s[n])
                     for n in range(H + 1)
                 )
-                return PredictorProfile(params=params, B=B, H=H,
-                                        verified_window=check_window, rows=rows)
+                return PredictorProfile(B=B, H=H, verified_window=check_window, rows=rows)
         if n_sim >= scan_limit + check_window:
             raise WindowFailure(f"no certified H below {scan_limit}")
         n_sim *= 4
@@ -514,6 +515,27 @@ def test_certification_reads_rows_up_to_H_plus_window(monkeypatch, a, b, window)
     prof = compute_profile(GameParams(a, b), window)
     assert len(calls) == 1
     assert read == list(range(prof.H + window + 1))
+
+
+def test_equal_params_share_one_profile_and_one_settlement_sequence(monkeypatch):
+    """profile_for and seq_for are keyed by the parameters' value: two
+    distinct but equal GameParams get the identical object, certified once."""
+    import chipfire.predictor as predictor
+    from chipfire.settlements import seq_for
+
+    calls = []
+    real = predictor.compute_profile
+
+    def counting(params, *args):
+        calls.append(params)
+        return real(params, *args)
+
+    monkeypatch.setattr(predictor, "compute_profile", counting)
+    p, q = GameParams(5, 11), GameParams(5, 11)
+    assert p is not q
+    assert profile_for(p) is profile_for(q)
+    assert seq_for(p) is seq_for(q)
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("a,b", [(2, 3), (4, 5), (20, 21)])

@@ -54,6 +54,34 @@ def test_one_b_suite_documents_count_mismatch():
     assert "b=3 n=32: digit-(b-1) count is 12, valuation sum gives 13" in note
 
 
+@pytest.mark.parametrize("kwargs, passes", [
+    ({"max_n": 40, "trick_max": 60}, [(2, 220), (3, 220)]),
+    ({}, [(2, 1000), (3, 500)]),
+])
+def test_one_b_suite_plays_each_game_once(monkeypatch, kwargs, passes):
+    """One oracle pass per b serves the count, binary-trick and R(b) checks:
+    (1, 2) to the largest of max_n, trick_max and 220, (1, 3) to the larger
+    of max_n and 220."""
+    opened = []
+    real = verify.oracle_rows
+
+    def counting(params, n_max):
+        opened.append((params.b, n_max))
+        assert params.a == 1
+        return real(params, n_max)
+
+    monkeypatch.setattr(verify, "oracle_rows", counting)
+    assert verify.one_b_suite(**kwargs).ok
+    assert opened == passes
+
+
+def test_one_b_suite_refuses_negative_trick_max():
+    # The binary-trick checks read the (1, 2) pass, which runs to at least
+    # 220, so a negative trick_max would check nothing and pass unnoticed.
+    with pytest.raises(InvalidParams, match="^chip count must be non-negative$"):
+        verify.one_b_suite(trick_max=-1)
+
+
 # The reports of the suites that read the incremental oracle, pinned so that
 # a simpler or faster reader checks as much and documents the same errata.
 ORACLE_SUITE_REPORTS = {

@@ -19,8 +19,7 @@ from chipfire import (
 )
 from chipfire.analysis import segments_weighted_sum
 from chipfire.errors import InvalidBase, ParseError
-from chipfire.words import (compact_segments, list_segments, segment_digits, segment_length,
-                            segment_sum)
+from chipfire.words import compact_segments, list_segments, segment_digits, segment_length
 
 P23 = GameParams(2, 3)
 
@@ -463,14 +462,13 @@ segment_lists = st.lists(
 @example(segments=(), split=0)
 @settings(max_examples=200, deadline=None)
 def test_segments_match_their_digits(segments, split):
-    """Length, digits, digit sum, list text and compact text of a segment
+    """Length, digits, list text and compact text of a segment
     sequence agree with the expanded digit tuple, blocks of several digits
     repeated included; a digit above 9 has no compact text.  Split into a head and a tail, the
     segments have the weighted sum of their digits at vertices lo..hi."""
     digits = tuple(d for block, count in segments for d in block * count)
     assert segment_digits(segments) == digits
     assert segment_length(segments) == len(digits)
-    assert segment_sum(segments) == sum(digits)
     assert list_segments(segments) == ",".join(map(str, digits))
     expected = "".join(map(str, digits)) if all(d <= 9 for d in digits) else None
     assert compact_segments(segments) == expected
