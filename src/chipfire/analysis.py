@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .engine import ChipState, FiringLog, GameParams
+from .engine import ChipState, GameParams
 from .errors import DivisionByZero, EqualRates, InconsistentLog, NotDivisible
-from .words import DigitWord, EMPTY_WORD, segment_length
+from .words import DigitWord, EMPTY_WORD, eval_base, segment_length
 
 __all__ = [
     "InvariantReport",
@@ -37,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Exact side values of a state plus the firing counts they encode."""
+    """Exact side values of a state, split at the origin."""
 
     s_at_1: int
     s_at_boa: Fraction
@@ -45,8 +45,6 @@ class InvariantReport:
     right_at_1: int
     left_at_boa: Fraction
     right_at_boa: Fraction
-    f0: int
-    f1: int
 
 
 def state_poly_eval(state: ChipState, t: Fraction | int) -> Fraction:
@@ -92,41 +90,29 @@ def combine(left: DigitWord, right: DigitWord, params: GameParams) -> ChipState:
     return ChipState(params, chips)
 
 
-def _sides(state: ChipState) -> tuple[int, int, Fraction, Fraction]:
-    """(left(1), right(1), left(b/a), right(b/a)): S(1) and S(b/a) split into
-    the vertices <= 0 and those >= 1, in one pass over the chips."""
-    boa = state.params.boa
-    left_1 = right_1 = 0
-    left_b = right_b = Fraction(0)
-    for v, c in state.chips.items():
-        if v <= 0:
-            left_1 += c
-            left_b += c * boa ** (-v)
-        else:
-            right_1 += c
-            right_b += c * boa ** (-v)
-    return left_1, right_1, left_b, right_b
+def side_values(left: tuple, right: tuple, f0: int, f1: int,
+                params: GameParams) -> InvariantReport:
+    """Side values of a state reached from n chips at the origin with f0
+    origin and f1 origout firings.
 
-
-def side_values(state: ChipState, log: FiringLog) -> InvariantReport:
-    """Side values of a state reached from n chips at the origin under ``log``.
-
-    Verifies the four exact identities
+    ``left`` holds the digits of vertices lo..0 and ``right`` those of
+    vertices 1..hi, as in ``split``; each part is valued at 1 by its digit
+    sum and at b/a by eval_base.  Verifies the four exact identities
         left(1)  = n - b*f0 + a*f1      right(1)  = b*f0 - a*f1
         left(b/a) = n - a*(f0 - f1)     right(b/a) = a*(f0 - f1)
     and that both b/a side values are integers; raises InconsistentLog on any
-    failure, which would mean the engine and its log disagree.
+    failure, which would mean the engine and its counts disagree.
     """
-    p = state.params
-    f0 = log.fires.get(0, 0)
-    f1 = log.fires.get(1, 0)
-    left_1, right_1, left_b, right_b = _sides(state)
+    a, b = params.a, params.b
+    left_1, right_1 = sum(left), sum(right)
+    left_b = eval_base(DigitWord(left, 0), params)
+    right_b = eval_base(DigitWord.fraction(right), params)
     n = left_1 + right_1
     checks = [
-        ("left(1)", left_1, n - p.b * f0 + p.a * f1),
-        ("right(1)", right_1, p.b * f0 - p.a * f1),
-        ("left(b/a)", left_b, n - p.a * (f0 - f1)),
-        ("right(b/a)", right_b, Fraction(p.a * (f0 - f1))),
+        ("left(1)", left_1, n - b * f0 + a * f1),
+        ("right(1)", right_1, b * f0 - a * f1),
+        ("left(b/a)", left_b, n - a * (f0 - f1)),
+        ("right(b/a)", right_b, Fraction(a * (f0 - f1))),
     ]
     for name, got, expected in checks:
         if got != expected:
@@ -143,8 +129,6 @@ def side_values(state: ChipState, log: FiringLog) -> InvariantReport:
         right_at_1=right_1,
         left_at_boa=left_b,
         right_at_boa=right_b,
-        f0=f0,
-        f1=f1,
     )
 
 
@@ -159,18 +143,14 @@ def recover_counts(state: ChipState) -> tuple[int, int]:
     if p.a == p.b:
         raise EqualRates("the side-value identities coincide when a == b, "
                          "so they do not give the firing counts")
-    _, right_1, _, right_b = _sides(state)
-    diff = right_1 - right_b
-    surplus = right_b / p.a
-    if diff.denominator != 1 or surplus.denominator != 1:
+    _, right = split(state)
+    right_1, right_b = right.digit_sum(), eval_base(right, p)
+    diff, surplus = right_1 - right_b, right_b / p.a
+    if diff.denominator != 1 or surplus.denominator != 1 or diff % (p.b - p.a):
         raise InconsistentLog(
             f"right side values {right_1}, {right_b} are not reachable"
         )
-    f0, r = divmod(int(diff), p.b - p.a)
-    if r:
-        raise InconsistentLog(
-            f"right side values {right_1}, {right_b} are not reachable"
-        )
+    f0 = int(diff) // (p.b - p.a)
     return f0, f0 - int(surplus)
 
 

@@ -138,8 +138,7 @@ def cmd_final(args, out) -> int:
     for n, answer in enumerate(answers, lo):
         try:
             text = (json.dumps(_record(n, params, answer)) if fmt == "json"
-                    else render_digits(answer.head, answer.tail, True,
-                                       True if fmt == "list" else None))
+                    else render_digits(answer.head, answer.tail, True, fmt == "list"))
         except (MemoryError, OverflowError):
             # The answer itself is O(c + log n) segments; only its text can
             # outgrow memory, or repeat a block more times than an index holds.
@@ -173,7 +172,7 @@ def cmd_settlements(args, out) -> int:
                 file=out,
             )
         else:
-            print(word_to_string(w, list_form=True if fmt == "list" else None), file=out)
+            print(word_to_string(w, list_form=fmt == "list"), file=out)
     return 0
 
 
@@ -195,7 +194,7 @@ def cmd_base(args, out) -> int:
             file=out,
         )
     else:
-        print(word_to_string(w, list_form=True if fmt == "list" else None), file=out)
+        print(word_to_string(w, list_form=fmt == "list"), file=out)
     return 0
 
 
@@ -425,7 +424,16 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = _parse(argv)
     try:
-        return args.fn(args, out)
+        code = args.fn(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head -1` does).  Python's
+        # recipe: point stdout at devnull, so that the flush at exit cannot
+        # fail again, and exit 1 with nothing on stderr.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InvalidParams, ParseError, ScanExhausted) as exc:
         # ScanExhausted is a refusal: the pair's profile cannot be certified
         # within the scan cap, so no answer is given.

@@ -54,4 +54,5 @@ class NotRegular(ChipFiringError):
 
 
 class WindowFailure(ChipFiringError):
-    """Fast-path certification window could not be established."""
+    """The fast path found no regular left word or no consistent settlement
+    index past a certified H: the H was miscertified, an internal fault."""

@@ -233,8 +233,8 @@ def compute_profile(
 
     One oracle_rows pass of scan_limit + check_window chips serves both and
     stops at row H + check_window.  Raises CensusMismatch when a right part
-    up to B is not its settlement, ScanExhausted when there is no B up to
-    scan_limit and WindowFailure when no H certifies up to scan_limit.
+    up to B is not its settlement, and ScanExhausted when there is no B up to
+    scan_limit or the rows run out before an H certifies.
     """
     params.require_structured()
     seq = seq_for(params)
@@ -266,7 +266,7 @@ def compute_profile(
         if start is not None and n - start == check_window:
             return PredictorProfile(B=B, H=start, verified_window=check_window,
                                     rows=tuple(rows[: start + 1]))
-    raise WindowFailure(
+    raise ScanExhausted(
         f"no certified H below {scan_limit} for ({params.a},{params.b})"
     )
 

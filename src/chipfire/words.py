@@ -246,10 +246,11 @@ def explode_normalize(w: DigitWord, params: GameParams) -> DigitWord:
 def word_to_string(
     w: DigitWord,
     *,
-    list_form: bool | None = None,
+    list_form: bool = False,
     radix_mark: str = "auto",
 ) -> str:
-    """Render a word.
+    """Render a word: compact form when every digit is at most 9 and
+    list_form is False, list form otherwise.
 
     radix_mark: "auto" prints the dot only when fractional digits exist
     (numeral style); "always" prints it after the position-0 digit even for
@@ -337,18 +338,16 @@ def join_list_parts(head_text: str, tail_text: str, want_dot: bool) -> str:
 
 
 def render_digits(head: tuple, tail: tuple, want_dot: bool,
-                  list_form: bool | None = None) -> str:
+                  list_form: bool = False) -> str:
     """The text of a word whose digits are the segments ``head`` before the
     radix point and ``tail`` after it; ``want_dot`` prints the point.
 
-    Compact form when every digit is at most 9 and list_form allows it.
+    Compact form when every digit is at most 9 and list_form is False.
     """
     if not list_form:
         compact_head, compact_tail = compact_segments(head), compact_segments(tail)
         if compact_head is not None and compact_tail is not None:
             return compact_head + "." + compact_tail if want_dot else compact_head
-        if list_form is False:
-            raise ParseError("compact form cannot express digits above 9")
     return join_list_parts(list_segments(head), list_segments(tail), want_dot)
 
 

@@ -67,12 +67,20 @@ def test_split_combine_round_trip():
         assert combine(left, right, p) == state
 
 
+def _side_values(state, log):
+    """side_values of a state split at the origin, with the log's origin and
+    origout counts."""
+    left, right = split(state)
+    f0, f1 = log.fires.get(0, 0), log.fires.get(1, 0)
+    return side_values(left.digits, right.digits, f0, f1, state.params)
+
+
 def test_side_values_seven_one_two():
     p = GameParams(1, 2)
     final, log = stabilize(new_state(7, p))
-    rep = side_values(final, log)
+    rep = _side_values(final, log)
     assert rep.right_at_1 == 3 and rep.right_at_boa == 1
-    assert rep.f0 == 2 and rep.f1 == 1
+    assert log.fires.get(0, 0) == 2 and log.fires.get(1, 0) == 1
     assert rep.left_at_1 + rep.right_at_1 == rep.s_at_1 == 7
     assert rep.s_at_boa == 7
 
@@ -80,16 +88,16 @@ def test_side_values_seven_one_two():
 def test_side_values_seventeen_two_three():
     p = GameParams(2, 3)
     final, log = stabilize(new_state(17, p))
-    rep = side_values(final, log)
+    rep = _side_values(final, log)
     assert rep.right_at_1 == 8 and rep.right_at_boa == 4
-    assert rep.f0 == 4 and rep.f1 == 2
+    assert log.fires.get(0, 0) == 4 and log.fires.get(1, 0) == 2
 
 
 def test_side_values_below_threshold():
     p = GameParams(2, 3)
     final, log = stabilize(new_state(4, p))
-    rep = side_values(final, log)
-    assert rep.f0 == rep.f1 == 0
+    rep = _side_values(final, log)
+    assert log.fires.get(0, 0) == log.fires.get(1, 0) == 0
     assert rep.right_at_1 == 0 and rep.left_at_1 == 4
 
 
@@ -98,7 +106,7 @@ def test_side_values_rejects_wrong_log():
     final, log = stabilize(new_state(7, p))
     bad = type(log)({**log.fires, 0: 5})
     with pytest.raises(InconsistentLog):
-        side_values(final, bad)
+        _side_values(final, bad)
 
 
 def test_weighted_sum_and_firing_count():
@@ -145,7 +153,7 @@ def test_single_fire_changes_weighted_sum_by_b_minus_a():
 def test_side_values_hold_for_random_runs(n, pair, seed):
     p = GameParams(*pair)
     final, log = stabilize(new_state(n, p), FiringStrategy.random(seed))
-    rep = side_values(final, log)  # raises InconsistentLog on any violation
+    rep = _side_values(final, log)  # raises InconsistentLog on any violation
     assert rep.left_at_boa.denominator == 1
     assert rep.right_at_boa.denominator == 1
     assert firings_from_M(final) == log.total

@@ -326,11 +326,15 @@ def test_final_digits_above_255():
     (("verify", "one-b", "--max-n", "-3"), "chip count must be non-negative"),
     (("verify", "predictor", "--max-n", "-3"), "chip count must be non-negative"),
     (("verify", "invariants", "--max-n", "-3"), "chip count must be non-negative"),
+    (("final", "5", "-a", "229", "-b", "236"), "no certified H below 20000 for (229,236)"),
+    (("final", "5", "-a", "458", "-b", "472"), "no certified H below 20000 for (229,236)"),
+    (("profile", "-a", "230", "-b", "237"), "no certified H below 20000 for (230,237)"),
 ])
 def test_out_of_range_inputs_exit_two(argv, message, capsys):
     # A cadence of 0 used to turn the confluence suite's conservation checks
     # off past full_check_below and still print PASS; a negative --max-n or
-    # -k printed an empty result with exit 0.
+    # -k printed an empty result with exit 0.  A pair whose B lies below the
+    # scan cap but whose H + 50 does not used to exit 1.
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -894,3 +898,18 @@ def test_subprocess_entry_point():
         assert proc.stderr.endswith(stderr)
         if code == 2:
             assert proc.stderr.startswith("usage: chipfire [-h] {final,settlements,")
+
+
+def test_closed_stdout_exits_one_quietly():
+    """A reader that closes the pipe after the first line (as `| head -1`
+    does) ends the command with exit 1 and no traceback on stderr."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chipfire", "final", "-a", "2", "-b", "3",
+         "--range", "0", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"0.\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")

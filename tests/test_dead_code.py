@@ -118,3 +118,33 @@ def test_every_export_resolves(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, missing
     exec(f"from {name} import *", {})
+
+
+def test_every_import_is_read():
+    """Each name a module imports is read there, unless its import sits on a
+    ``# noqa: F401`` line, which test_tracer_hooks ties to a patch site.
+
+    ``__init__`` is left out: it imports names to re-export them.
+    """
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                # ``import a.b`` binds the name ``a``.
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unread, unread

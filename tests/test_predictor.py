@@ -29,7 +29,7 @@ from chipfire import (
     word_to_string,
 )
 from chipfire.analysis import firings_from_weight
-from chipfire.errors import InvalidParams, NotRegular, ScanExhausted, WindowFailure
+from chipfire.errors import InvalidParams, NotRegular, ScanExhausted
 from chipfire.predictor import compute_profile, final_answer, final_counts, profile_for
 
 SIX_PAIRS = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]
@@ -423,7 +423,6 @@ def _find_H_reference(params, seq, ac, B, words, lefts, f0s, check_window, n_sim
 def _compute_profile_two_pass(params, check_window=50, scan_limit=20000):
     """Reference certification: find B in one pass, then re-simulate prefixes
     of 256, 1024, 4096, ... chips until one holds a certified window."""
-    from chipfire.errors import WindowFailure
     from chipfire.predictor import PredictorProfile
     from chipfire.settlements import seq_for
 
@@ -444,7 +443,7 @@ def _compute_profile_two_pass(params, check_window=50, scan_limit=20000):
                 )
                 return PredictorProfile(B=B, H=H, verified_window=check_window, rows=rows)
         if n_sim >= scan_limit + check_window:
-            raise WindowFailure(f"no certified H below {scan_limit}")
+            raise ScanExhausted(f"no certified H below {scan_limit}")
         n_sim *= 4
 
 
@@ -479,7 +478,7 @@ def test_failed_step_restarts_the_window(monkeypatch, a, b, window):
 
 
 @pytest.mark.parametrize(
-    "scan_limit,outcome", [(1000, ScanExhausted), (1060, WindowFailure), (1071, 1071)]
+    "scan_limit,outcome", [(1000, ScanExhausted), (1060, ScanExhausted), (1071, 1071)]
 )
 def test_profile_scan_limit_outcomes(scan_limit, outcome):
     """(20, 21) has B = 1051 and H = 1071: a limit below B finds no B, one

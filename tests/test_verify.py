@@ -34,6 +34,44 @@ def test_invariants_suite_clean():
     assert rep.ok
 
 
+def test_invariants_suite_reads_one_row_pass_per_pair(monkeypatch):
+    """The side values are checked on the rows of one oracle_rows pass per
+    pair; no ChipState or firing log is built for them."""
+    opened = {"oracle_rows": [], "oracle_states": []}
+
+    def counting(name):
+        real = getattr(verify, name)
+
+        def wrapper(params, n_max):
+            opened[name].append((params.a, params.b, n_max))
+            return real(params, n_max)
+        return wrapper
+
+    for name in opened:
+        monkeypatch.setattr(verify, name, counting(name))
+    assert verify.invariants_suite(pairs=[(1, 2), (2, 3)], max_n=30).ok
+    assert opened == {"oracle_rows": [(1, 2, 30), (2, 3, 30)], "oracle_states": []}
+
+
+def test_predictor_suite_compares_the_firing_counts(monkeypatch):
+    """An answer whose origout count is off by one past H fails its row,
+    though its digits match the oracle's."""
+    from chipfire import GameParams
+    from chipfire.predictor import profile_for
+
+    H = profile_for(GameParams(2, 3)).H
+    real = verify.final_answer
+
+    def off_by_one(n, params):
+        answer = real(n, params)
+        return answer._replace(f1=answer.f1 + 1) if n > H else answer
+
+    monkeypatch.setattr(verify, "final_answer", off_by_one)
+    rep = verify.predictor_suite(pairs=[(2, 3)], max_n=200)
+    assert not rep.ok
+    assert f"a=2 b=3 n={H + 1}: fast path differs from oracle" in rep.failures
+
+
 def test_predictor_suite_scoped():
     rep = verify.predictor_suite(pairs=[(2, 3), (1, 2)], max_n=200, value_window=50)
     assert rep.ok

@@ -151,8 +151,6 @@ def test_list_form_big_digits():
     w = string_to_word("14,3.10,2")
     assert w.digits == (14, 3, 10, 2) and w.radix == -2
     assert word_to_string(w) == "14,3.10,2"
-    with pytest.raises(ParseError):
-        word_to_string(w, list_form=False)
 
 
 def test_pure_fraction_and_empty():
@@ -245,8 +243,6 @@ def _word_to_string_three_pass(w, *, list_form=None, radix_mark="auto"):
     """The earlier word_to_string: a digit scan, part copies, str per digit."""
     if list_form is None:
         list_form = any(d > 9 for d in w.digits)
-    elif not list_form and any(d > 9 for d in w.digits):
-        raise ParseError("compact form cannot express digits above 9")
     int_part = list(w.integer_digits()) if not w.is_empty() else []
     frac_part = list(w.fraction_digits())
     want_dot = bool(frac_part) or radix_mark == "always" or not int_part
@@ -272,8 +268,6 @@ def _word_to_string_map_str(w, *, list_form=None, radix_mark="auto"):
         compact_head, compact_tail = "".join(head), "".join(tail)
         if len(compact_head) + len(compact_tail) == len(head) + len(tail):
             return compact_head + "." + compact_tail if want_dot else compact_head
-        if list_form is False:
-            raise ParseError("compact form cannot express digits above 9")
     out = ",".join(head) + "." + ",".join(tail) if want_dot else ",".join(head)
     if "," not in out:
         out = ",".join(head + ["."] + tail)
@@ -355,17 +349,12 @@ def test_eval_base_of_long_final_states_is_n():
 
 @given(
     w=words_anywhere,
-    list_form=st.sampled_from([None, True, False]),
+    list_form=st.sampled_from([None, True]),
     radix_mark=st.sampled_from(["auto", "always"]),
 )
 @settings(max_examples=300, deadline=None)
 def test_word_to_string_matches_three_pass_reference(w, list_form, radix_mark):
-    try:
-        expected = _word_to_string_three_pass(w, list_form=list_form, radix_mark=radix_mark)
-    except ParseError:
-        with pytest.raises(ParseError):
-            word_to_string(w, list_form=list_form, radix_mark=radix_mark)
-        return
+    expected = _word_to_string_three_pass(w, list_form=list_form, radix_mark=radix_mark)
     assert word_to_string(w, list_form=list_form, radix_mark=radix_mark) == expected
 
 
@@ -380,14 +369,7 @@ def test_empty_and_zero_words_build():
     assert DigitWord((0, 0, 0), -2).digits == (0, 0, 0)
 
 
-def _render_or_error(render, *args, **kwargs):
-    try:
-        return render(*args, **kwargs)
-    except ParseError:
-        return ParseError
-
-
-RENDER_OPTIONS = [(list_form, radix_mark) for list_form in (None, True, False)
+RENDER_OPTIONS = [(list_form, radix_mark) for list_form in (None, True)
                   for radix_mark in ("auto", "always")]
 
 # Words as in words_anywhere, with digits on both sides of the 9/10 boundary
@@ -423,9 +405,8 @@ def test_word_to_string_matches_map_str_reference(w):
     """Rendering by byte translation equals the per-digit str rendering, for
     every list_form and radix_mark, with an empty head, tail or both."""
     for list_form, radix_mark in RENDER_OPTIONS:
-        want = _render_or_error(_word_to_string_map_str, w, list_form=list_form,
-                                radix_mark=radix_mark)
-        got = _render_or_error(word_to_string, w, list_form=list_form, radix_mark=radix_mark)
+        want = _word_to_string_map_str(w, list_form=list_form, radix_mark=radix_mark)
+        got = word_to_string(w, list_form=list_form, radix_mark=radix_mark)
         assert got == want, (w, list_form, radix_mark)
 
 
