@@ -53,10 +53,20 @@ from .words import (
     word_to_string,
 )
 
-# The fields of one `final --json` record, in the order `_record` builds them.
+# The fields of one `final --json` record, in the order `_record` gives them.
 RECORD_FIELDS = (
     "a", "b", "n", "state", "left", "right", "settlement_index",
     "left_value_boa", "right_value_boa", "f0", "f1", "total_firings",
+)
+# One record line, byte for byte what `json.dumps` writes for the record as a
+# dict: RECORD_FIELDS in order, ", " and ": " separators, string fields
+# quoted.  No value ever needs escaping: state, left and right hold only ASCII
+# digits, commas and dots, the two values are str(int), and the other fields
+# are ints, which `%s` writes as json does, or null.
+_STRING_FIELDS = {"state", "left", "right", "left_value_boa", "right_value_boa"}
+_RECORD_LINE = "{%s}" % ", ".join(
+    f'"{field}": "%s"' if field in _STRING_FIELDS else f'"{field}": %s'
+    for field in RECORD_FIELDS
 )
 
 
@@ -68,8 +78,9 @@ def _fmt(args) -> str:
     return fmt
 
 
-def _record(n: int, params: GameParams, answer: FinalAnswer) -> dict:
-    """The JSON record of one final state."""
+def _record(n: int, params: GameParams, answer: FinalAnswer) -> tuple:
+    """The JSON record of one final state: its values in RECORD_FIELDS
+    order, None where the record has null."""
     f0, f1, total = answer.counts(params)
     # The answer carries the left value at b/a, an integer set from its
     # counts; S(b/a) = n on every state, so the right value is n minus it.
@@ -94,20 +105,16 @@ def _record(n: int, params: GameParams, answer: FinalAnswer) -> dict:
         else:
             tail_list, right = ",".join(tail_text), "." + tail_text
         state = join_list_parts(head_list, tail_list, True)
-    return {
-        "a": params.a,
-        "b": params.b,
-        "n": n,
-        "state": state,
-        "left": left,
-        "right": right,
-        "settlement_index": f0 if params.is_structured() else None,
-        "left_value_boa": str(left_value),
-        "right_value_boa": str(n - left_value),
-        "f0": f0,
-        "f1": f1,
-        "total_firings": total,
-    }
+    return (params.a, params.b, n, state, left, right,
+            f0 if params.is_structured() else None,
+            str(left_value), str(n - left_value), f0, f1, total)
+
+
+def _record_line(n: int, params: GameParams, answer: FinalAnswer) -> str:
+    """The `final --json` line of one final state: _RECORD_LINE filled with
+    the record's values, None as null."""
+    return _RECORD_LINE % tuple(["null" if value is None else value
+                                 for value in _record(n, params, answer)])
 
 
 def _oracle_answer(n: int, params: GameParams) -> FinalAnswer:
@@ -137,7 +144,7 @@ def cmd_final(args, out) -> int:
                else final_answers(lo, hi, params))
     for n, answer in enumerate(answers, lo):
         try:
-            text = (json.dumps(_record(n, params, answer)) if fmt == "json"
+            text = (_record_line(n, params, answer) if fmt == "json"
                     else render_digits(answer.head, answer.tail, True, fmt == "list"))
         except (MemoryError, OverflowError):
             # The answer itself is O(c + log n) segments; only its text can

@@ -513,6 +513,7 @@ def test_text_output_skips_record(argv, monkeypatch):
 
     monkeypatch.setattr(cli, "eval_base", _raise)
     monkeypatch.setattr(cli, "_record", _raise)
+    monkeypatch.setattr(cli, "_record_line", _raise)
     monkeypatch.setattr(chipfire.predictor, "segments_weighted_sum", _raise)
     monkeypatch.setattr(chipfire.predictor, "firings_from_weight", _raise)
     assert run_cli(*argv) == (code, expected)
@@ -652,20 +653,58 @@ def test_record_evaluates_only_the_shorter_part(a, b, monkeypatch):
 
 def test_record_lone_dot_forms():
     from chipfire import DigitWord, GameParams
-    from chipfire.cli import _record
+    from chipfire.cli import _record, _record_line
     from chipfire.predictor import FinalAnswer
 
     def answer(word):
         # The left part is the one digit 14 at the origin, worth 14.
         return FinalAnswer.parts(word.integer_digits(), word.fraction_digits(), 14, 0, 0, 0)
 
-    rec = _record(0, GameParams(20, 21), answer(DigitWord((14, 10), -1)))
-    assert (rec["state"], rec["left"], rec["right"]) == ("14,.,10", "14,.", ".,10")
-    rec = _record(0, GameParams(20, 21), answer(DigitWord((14, 3, 2), -2)))
-    assert (rec["state"], rec["left"], rec["right"]) == ("14.3,2", "14,.", ".32")
-    assert rec["left_value_boa"] == "14"
-    rec = _record(0, GameParams(20, 21), FinalAnswer.parts((), (10,), 0, 0, 0, 0))
-    assert (rec["state"], rec["left"], rec["right"]) == (".,10", ".", ".,10")
+    p = GameParams(20, 21)
+    for ans, parts in [
+        (answer(DigitWord((14, 10), -1)), ("14,.,10", "14,.", ".,10", "14")),
+        (answer(DigitWord((14, 3, 2), -2)), ("14.3,2", "14,.", ".32", "14")),
+        (FinalAnswer.parts((), (10,), 0, 0, 0, 0), (".,10", ".", ".,10", "0")),
+    ]:
+        rec = dict(zip(RECORD_FIELDS, _record(0, p, ans)))
+        assert (rec["state"], rec["left"], rec["right"], rec["left_value_boa"]) == parts
+        # The line is json.dumps's bytes for the record.
+        line = _record_line(0, p, ans)
+        assert tuple(json.loads(line)) == RECORD_FIELDS
+        assert line == json.dumps(rec)
+
+
+def _no_json_dumps(*args, **kwargs):
+    raise AssertionError("a final record must not call json.dumps")
+
+
+@pytest.mark.parametrize("a, b", BRANCH_PAIRS + [(20, 21), (1, 10)])
+def test_record_lines_are_json_dumps_bytes(a, b, monkeypatch):
+    """Every `final --json` line is, byte for byte, what `json.dumps` writes
+    for its record, though `json.dumps` is never called: on every dispatch
+    branch, with list-form digits ((20, 21), (1, 10)), from n = 0, with the
+    null counts of a = b and of the mirror, and for `--oracle` answers."""
+    from chipfire import GameParams
+
+    dumps = json.dumps
+    monkeypatch.setattr(cli.json, "dumps", _no_json_dumps)
+    structured = GameParams(a, b).is_structured()
+    for oracle in ((), ("--oracle",)):
+        code, out = run_cli("final", "-a", str(a), "-b", str(b), "--range", "0", "120",
+                            "--json", *oracle)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 121
+        recs = [json.loads(line) for line in lines]
+        assert [tuple(rec) for rec in recs] == [RECORD_FIELDS] * 121, (a, b, oracle)
+        assert [dumps(rec) for rec in recs] == lines, (a, b, oracle)
+        assert recs[0]["n"] == 0 and recs[0]["state"] == "0."
+        nulls = {key for rec in recs for key, value in rec.items() if value is None}
+        want = set() if structured else {"settlement_index"}
+        if not oracle and a == b:
+            want |= {"f0", "f1", "total_firings"}
+        elif not oracle and a > b:
+            want.add("f1")
+        assert nulls == want, (a, b, oracle)
 
 
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (5, 7), (3, 2), (5, 3), (4, 6), (2, 4)])
@@ -833,6 +872,27 @@ def test_long_outputs_keep_their_bytes(command):
     code, out = run_cli(*command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
+
+
+# md5 of stdout, fixed while `final` still wrote each JSON record with
+# `json.dumps`, so that the record line template keeps every byte.  The test
+# sets CHIPFIRE_FORMAT=json, the only source of JSON for the last command.
+JSON_GOLDEN_MD5 = [
+    ("final 300000 -a 2 -b 3 --json", "ba359f6e33e30ed21785321b58515956"),
+    ("final -a 20 -b 21 --range 0 1200 --json", "b5974813eb013a43af3ffb0e34fd12a4"),
+    ("final -a 3 -b 2 --range 0 400 --json", "cfba8a1a482516696395174adf12d29f"),
+    ("final -a 4 -b 6 --range 0 300 --json --oracle", "297b2b98d42b7f998038bc8721c4071e"),
+    ("final -a 3 -b 3 --range 0 300 --json", "b6db4b6d98a3b122bc7ef8797b209dd9"),
+    ("final -a 1 -b 2 --range 0 500", "cf730403929b7c2df8dde0bbbf682622"),
+]
+
+
+def test_json_records_keep_their_bytes(monkeypatch):
+    monkeypatch.setenv("CHIPFIRE_FORMAT", "json")
+    for command, digest in JSON_GOLDEN_MD5:
+        code, out = run_cli(*command.split())
+        assert code == 0 and out.endswith("}\n")
+        assert hashlib.md5(out.encode()).hexdigest() == digest, command
 
 
 PROFILE_20_21_DELTAS = [
