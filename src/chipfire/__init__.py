@@ -15,8 +15,6 @@ from .engine import (
     FiringLog,
     FiringStrategy,
     GameParams,
-    fire,
-    increment_origin,
     new_state,
     oracle_rows,
     oracle_states,
@@ -28,8 +26,6 @@ from .words import (
     EMPTY_WORD,
     DigitWord,
     eval_base,
-    explode_normalize,
-    explode_once,
     string_to_word,
     to_base,
     word_to_string,
@@ -38,7 +34,6 @@ from .analysis import (
     InvariantReport,
     combine,
     firings_from_M,
-    recover_counts,
     side_values,
     split,
     state_poly_eval,
@@ -48,7 +43,6 @@ from .analysis import (
 from .settlements import (
     delta_strings,
     dormant_census,
-    is_dormant,
     lemma8_inequalities,
     settlement,
     settlement_next,
@@ -66,7 +60,6 @@ from .predictor import (
     one_b_right_length,
     one_b_settlement,
     r_sequence,
-    right_advance,
 )
 
 __version__ = "0.1.0"

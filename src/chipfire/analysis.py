@@ -27,7 +27,6 @@ __all__ = [
     "combine",
     "state_word",
     "side_values",
-    "recover_counts",
     "weighted_sum",
     "firings_from_M",
     "segments_weighted_sum",
@@ -130,28 +129,6 @@ def side_values(left: tuple, right: tuple, f0: int, f1: int,
         left_at_boa=left_b,
         right_at_boa=right_b,
     )
-
-
-def recover_counts(state: ChipState) -> tuple[int, int]:
-    """(f0, f1) from the state alone, for a != b.
-
-    For a != b the two right-side identities are linearly independent, so
-    they give the origin and origout firing counts directly:
-    f0 = (right(1) - right(b/a)) / (b-a) and f1 = f0 - right(b/a)/a.
-    """
-    p = state.params
-    if p.a == p.b:
-        raise EqualRates("the side-value identities coincide when a == b, "
-                         "so they do not give the firing counts")
-    _, right = split(state)
-    right_1, right_b = right.digit_sum(), eval_base(right, p)
-    diff, surplus = right_1 - right_b, right_b / p.a
-    if diff.denominator != 1 or surplus.denominator != 1 or diff % (p.b - p.a):
-        raise InconsistentLog(
-            f"right side values {right_1}, {right_b} are not reachable"
-        )
-    f0 = int(diff) // (p.b - p.a)
-    return f0, f0 - int(surplus)
 
 
 def weighted_sum(state: ChipState) -> int:

@@ -4,23 +4,15 @@ A vertex holding at least a+b chips may fire, sending a chips to its left
 neighbor and b chips to its right neighbor.  This module is the ground-truth
 oracle: it represents states sparsely, fires them to completion under
 pluggable schedules, and logs per-vertex firing counts.
-
-States are plain values: no operation here shares mutable data, so
-independent game instances can run concurrently without coordination.
 """
 
 from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .errors import (
-    FireBelowThreshold,
-    InvalidParams,
-    InvariantViolation,
-)
+from .errors import InvalidParams, InvariantViolation
 
 __all__ = [
     "GameParams",
@@ -31,10 +23,8 @@ __all__ = [
     "RIGHTMOST",
     "PARALLEL_ROUNDS",
     "new_state",
-    "fire",
     "stabilize",
     "settle_right",
-    "increment_origin",
     "oracle_states",
     "oracle_rows",
     "stabilize_line",
@@ -59,10 +49,6 @@ class GameParams:
     @property
     def d(self) -> int:
         return gcd(self.a, self.b)
-
-    @property
-    def boa(self) -> Fraction:
-        return Fraction(self.b, self.a)
 
     def is_structured(self) -> bool:
         """True when the structure theory applies: gcd(a,b)=1 and a<b."""
@@ -169,18 +155,6 @@ def new_state(n: int, params: GameParams) -> ChipState:
     if n < 0:
         raise InvalidParams("chip count must be non-negative")
     return ChipState(params, {0: n} if n > 0 else {})
-
-
-def fire(state: ChipState, v: int) -> ChipState:
-    """Fire vertex v once: v loses a+b, v-1 gains a, v+1 gains b."""
-    p = state.params
-    if state.count(v) < p.threshold:
-        raise FireBelowThreshold(f"vertex {v} holds {state.count(v)} < {p.threshold}")
-    chips = dict(state.chips)
-    chips[v] -= p.threshold
-    chips[v - 1] = chips.get(v - 1, 0) + p.a
-    chips[v + 1] = chips.get(v + 1, 0) + p.b
-    return ChipState(p, chips)
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +449,6 @@ def settle_right(state: ChipState) -> ChipState:
     floor = bb.off + 1
     _scan(bb, p.threshold, p.a, p.b, max(bb.lo, floor), 1, floor, None)
     return bb.to_state(p)
-
-
-def increment_origin(state: ChipState) -> ChipState:
-    """Add one chip at the origin and re-stabilize.
-
-    Intended for already-final states: the result equals the final state of
-    the game started with one more chip.
-    """
-    chips = dict(state.chips)
-    chips[0] = chips.get(0, 0) + 1
-    out, _ = stabilize(ChipState(state.params, chips))
-    return out
 
 
 # The chip count _increments first sizes its buffer for.

@@ -9,10 +9,6 @@ class InvalidParams(ChipFiringError):
     """Game parameters outside the domain an operation supports."""
 
 
-class FireBelowThreshold(ChipFiringError):
-    """Attempt to fire a vertex holding fewer than a+b chips."""
-
-
 class InvariantViolation(ChipFiringError):
     """A conserved quantity failed an exact check during a run."""
 

@@ -20,9 +20,7 @@ increment, right index advance = explosion count, right part = settlement
 word) and stops at the first n >= B where every left digit is at least a
 and a whole window of increments has passed: row H + window.  The profile
 keeps rows 0..H as its table.  A profile is immutable once computed, and
-profile_for caches one per pair with functools.cache; distinct parameter
-pairs can be profiled concurrently (two racing calls on one pair may both
-compute it, and get equal profiles).
+profile_for caches one per pair with functools.cache.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ __all__ = [
     "lift_noncoprime",
     "mirror_word",
     "elevated_increment",
-    "right_advance",
     "left_regular_word",
     "one_b_settlement",
     "one_b_right_length",
@@ -107,32 +104,6 @@ def _increment(ds: list, a: int, b: int) -> int:
         ds[i - 1] += a
         i -= 1
     return explosions
-
-
-def right_advance(prev_left: DigitWord, k: int, params: GameParams) -> int:
-    """Settlement index after one more chip, given the previous left word.
-
-    The origin fires once per explosion of the elevated increment, so the
-    index advances by that count.  Equivalently: zero if the last digit is
-    below a+b-1, else one plus the run of digits >= b immediately left of
-    it; both characterizations are computed and must agree.
-    """
-    _, explosions = elevated_increment(prev_left, params)
-    a, b = params.a, params.b
-    ds = prev_left.digits
-    if ds[-1] < a + b - 1:
-        suffix = 0
-    else:
-        run = 0
-        i = len(ds) - 2
-        while i >= 0 and ds[i] >= b:
-            run += 1
-            i -= 1
-        suffix = 1 + run
-    assert suffix == explosions, (
-        f"suffix rule {suffix} != explosion count {explosions} for {ds}"
-    )
-    return k + explosions
 
 
 def left_regular_word(value: int, params: GameParams) -> DigitWord | None:

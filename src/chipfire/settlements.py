@@ -19,7 +19,6 @@ against the iterated sequence.
 from __future__ import annotations
 
 import functools
-import threading
 
 # oracle_states stays importable here because span tracers patch it by module.
 from .engine import GameParams, oracle_states  # noqa: F401
@@ -27,14 +26,12 @@ from .errors import CensusMismatch, InvalidParams
 from .words import DigitWord, segment_digits
 
 __all__ = [
-    "triangular",
     "tetrahedral",
     "periodic_start",
     "tetrahedral_periodic_start",
     "highest_dormant_index",
     "tetrahedral_highest_dormant_index",
     "settlement_next",
-    "is_dormant",
     "settlement",
     "delta_strings",
     "dormant_census",
@@ -42,10 +39,6 @@ __all__ = [
     "SettlementSeq",
     "seq_for",
 ]
-
-
-def triangular(i: int) -> int:
-    return i * (i + 1) // 2
 
 
 def tetrahedral(i: int) -> int:
@@ -113,12 +106,6 @@ def settlement_next(w: DigitWord, params: GameParams) -> DigitWord:
     return DigitWord.fraction(_next_tuple(tuple(word), params.a, params.b))
 
 
-def is_dormant(w: DigitWord, params: GameParams) -> bool:
-    """Dormant: origout digit below a, so an origin firing triggers no fire-back."""
-    params.require_structured()
-    return w.digit_at(-1) < params.a
-
-
 def _delta_tuples(a: int, b: int, c: int) -> list[tuple[int, ...]]:
     """delta_0 .. delta_{c-1}: the cyclic tail patterns of late settlements."""
     base = [i * b - (i - 1) * a for i in range(c, 0, -1)]  # ends ... (2b-a) b
@@ -133,10 +120,9 @@ def _delta_tuples(a: int, b: int, c: int) -> list[tuple[int, ...]]:
 class SettlementSeq:
     """Memoized settlement sequence for one structured parameter pair.
 
-    The iterated prefix is cached; indices past the periodic start are served
-    by the closed form .(cb-ca)_{p+1} delta_q with k = start + p*c + q.
-    Cache extension is serialized so concurrent readers always see a
-    consistent prefix.
+    The iterated prefix, indices 0..start, is built lazily as far as the
+    highest index read so far; indices past the periodic start are served by
+    the closed form .(cb-ca)_{p+1} delta_q with k = start + p*c + q.
     """
 
     def __init__(self, params: GameParams):
@@ -148,18 +134,12 @@ class SettlementSeq:
         # The one-digit block c*(b-a) that the periodic regime repeats.
         self.lead = (self.c * (params.b - params.a),)
         self._words: list[tuple[int, ...]] = [()]
-        self._lock = threading.Lock()
-
-    def _extend_to(self, k: int) -> None:
-        with self._lock:
-            a, b = self.params.a, self.params.b
-            while len(self._words) <= k:
-                self._words.append(_next_tuple(self._words[-1], a, b))
 
     def _cached(self, k: int) -> tuple[int, ...]:
-        if len(self._words) <= k:
-            self._extend_to(k)
-        return self._words[k]
+        words = self._words
+        while len(words) <= k:
+            words.append(_next_tuple(words[-1], self.params.a, self.params.b))
+        return words[k]
 
     def _periodic(self, k: int) -> tuple[int, int] | None:
         """(p, q) with k = start + p*c + q past the periodic start, else None."""
@@ -214,8 +194,9 @@ def dormant_census(params: GameParams) -> tuple[int, int]:
     seq = seq_for(params)
     a = params.a
     upper = seq.start + 2 * seq.c
-    dormant = [k for k in range(upper + 1)
-               if (seq.word(k)[0] if seq.word(k) else 0) < a]
+    # Dormant: the origout digit, the word's first, is below a (an empty
+    # word has origout digit 0), so an origin firing triggers no fire-back.
+    dormant = [k for k in range(upper + 1) if (seq.word(k) or (0,))[0] < a]
     count = len(dormant)
     highest = dormant[-1]
     if count != seq.c or highest != highest_dormant_index(params):

@@ -3,9 +3,9 @@
 Each suite returns a SuiteReport with hard failures (claims this package is
 built on) separated from notes (documented discrepancies in circulated
 formulas, reported with concrete counterexamples but never failed on).
-Suites only read immutable snapshots and per-run state, so a driver may fan
-independent (a, b, n) cases out across workers; reports are aggregated
-order-independently and printed sorted.
+Only the confluence suite runs in more than one process: its parameter
+pairs are independent, so it fans them out across a process pool.  A
+report prints its failures sorted and its notes in the order they were found.
 """
 
 from __future__ import annotations

@@ -22,8 +22,6 @@ __all__ = [
     "EMPTY_WORD",
     "to_base",
     "eval_base",
-    "explode_once",
-    "explode_normalize",
     "word_to_string",
     "render_digits",
     "segment_digits",
@@ -190,49 +188,6 @@ def _power(pows: dict[tuple[int, int], int], base: int, e: int) -> int:
     if p is None:
         p = pows[base, e] = base**e
     return p
-
-
-def explode_once(w: DigitWord, p: int, params: GameParams) -> DigitWord:
-    """One exploding-dots step: b dots at position p become a dots at p+1."""
-    _require_base(params)
-    if w.digit_at(p) < params.b:
-        raise InvalidBase(f"position {p} holds {w.digit_at(p)} < b={params.b}")
-    lo = min(w.radix, p)
-    hi = max(w.hi, p + 1)
-    ds = [w.digit_at(q) for q in range(hi, lo - 1, -1)]
-    ds[hi - p] -= params.b
-    ds[hi - (p + 1)] += params.a
-    while len(ds) > 1 and ds[0] == 0 and hi > max(0, lo):
-        ds.pop(0)
-        hi -= 1
-    return DigitWord(tuple(ds), lo)
-
-
-def explode_normalize(w: DigitWord, params: GameParams) -> DigitWord:
-    """Explode until every digit is below b.  Exact-value preserving.
-
-    Expects an integer word (radix >= 0); the result is the canonical
-    base-b/a numeral of the same value.
-    """
-    _require_base(params)
-    if w.radix < 0:
-        raise InvalidBase("explode_normalize expects an integer word")
-    a, b = params.a, params.b
-    low_first = list(reversed(w.digits)) or [0]
-    i = 0
-    while i < len(low_first):
-        d = low_first[i]
-        if d >= b:
-            carries = d // b
-            low_first[i] = d % b
-            if i + 1 == len(low_first):
-                low_first.append(0)
-            low_first[i + 1] += a * carries
-        i += 1
-    word = DigitWord.integer(reversed(low_first))
-    if w.radix > 0:
-        word = DigitWord(word.digits, word.radix + w.radix)
-    return word
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from chipfire import (
     FiringStrategy,
     GameParams,
     combine,
-    fire,
     firings_from_M,
     new_state,
     oracle_states,
@@ -136,14 +135,6 @@ def test_firings_from_M_mirrored_params():
     assert firings_from_M(final) == log.total
 
 
-def test_single_fire_changes_weighted_sum_by_b_minus_a():
-    for a, b in [(1, 2), (2, 3), (3, 5), (4, 3)]:
-        p = GameParams(a, b)
-        s = ChipState(p, {-1: a + b + 1, 2: a + b})
-        for v in (-1, 2):
-            assert weighted_sum(fire(s, v)) - weighted_sum(s) == b - a
-
-
 @given(
     n=st.integers(min_value=0, max_value=150),
     pair=st.sampled_from([(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]),
@@ -157,29 +148,6 @@ def test_side_values_hold_for_random_runs(n, pair, seed):
     assert rep.left_at_boa.denominator == 1
     assert rep.right_at_boa.denominator == 1
     assert firings_from_M(final) == log.total
-
-
-def test_recover_counts_from_state_alone():
-    """The two right-side identities pin down f0 and f1 without the log,
-    for every schedule (the counts are schedule-independent)."""
-    from chipfire import LEFTMOST, PARALLEL_ROUNDS, RIGHTMOST, recover_counts
-
-    for a, b in [(1, 2), (2, 3), (3, 4), (3, 5), (3, 2)]:
-        p = GameParams(a, b)
-        for n in range(0, 90):
-            for strat in (LEFTMOST, RIGHTMOST, PARALLEL_ROUNDS, FiringStrategy.random(11)):
-                final, log = stabilize(new_state(n, p), strat)
-                assert recover_counts(final) == (
-                    log.fires.get(0, 0),
-                    log.fires.get(1, 0),
-                ), (a, b, n, strat.kind)
-
-
-def test_recover_counts_equal_rates():
-    from chipfire import recover_counts
-
-    with pytest.raises(EqualRates):
-        recover_counts(new_state(5, GameParams(3, 3)))
 
 
 def test_monotone_firing_counts_in_n():

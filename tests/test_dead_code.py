@@ -1,6 +1,7 @@
-"""Every function, class and method in the package has a reader, every
-field of a package dataclass or NamedTuple is read as an attribute, and
-every exported name exists."""
+"""Every function, class and method in the package has a reader, and one
+outside the tests but for two reference implementations, every field of a
+package dataclass or NamedTuple is read as an attribute, and every exported
+name exists."""
 
 import ast
 import importlib
@@ -50,12 +51,16 @@ def _definitions(tree: ast.Module):
                 yield node
 
 
-def test_every_definition_is_used():
+def _sources(readers) -> list[Path]:
+    return [path for reader in readers for path in sorted((ROOT / reader).rglob("*.py"))]
+
+
+def _unread(sources) -> list[str]:
+    """Every package definition that none of the ``sources`` mentions."""
     seen: dict[str, list[tuple[Path, int]]] = {}
-    for reader in READERS:
-        for path in sorted((ROOT / reader).rglob("*.py")):
-            for name, line in _appearances(ast.parse(path.read_text(), str(path))):
-                seen.setdefault(name, []).append((path, line))
+    for path in sources:
+        for name, line in _appearances(ast.parse(path.read_text(), str(path))):
+            seen.setdefault(name, []).append((path, line))
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _definitions(ast.parse(path.read_text(), str(path))):
@@ -66,7 +71,29 @@ def test_every_definition_is_used():
             ]
             if not outside:
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    return dead
+
+
+def test_every_definition_is_used():
+    dead = _unread(_sources(READERS))
     assert not dead, dead
+
+
+# Read only by tests, and kept: acceptance criteria 8 and 11 check the fast
+# path's a = b and gcd > 1 branches against these reference implementations.
+TEST_ONLY = {"aa_final", "lift_noncoprime"}
+
+
+def test_no_definition_is_read_only_by_tests():
+    """Each package function and class has a reader in the package or the
+    benchmark, TEST_ONLY aside: code that only its own tests read is a second
+    copy of an idea the laboratory does not use.  The re-exports of
+    ``__init__`` read nothing."""
+    sources = [path for path in _sources(("src", "perfbench"))
+               if path != PACKAGE / "__init__.py"]
+    test_only = [where for where in _unread(sources)
+                 if where.split()[-1] not in TEST_ONLY]
+    assert not test_only, test_only
 
 
 def _is_record(node: ast.ClassDef) -> bool:

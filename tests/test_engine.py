@@ -12,8 +12,6 @@ from chipfire import (
     ChipState,
     FiringStrategy,
     GameParams,
-    fire,
-    increment_origin,
     new_state,
     oracle_rows,
     oracle_states,
@@ -26,7 +24,7 @@ from chipfire import (
 )
 from chipfire import engine
 from chipfire.engine import _Buffer
-from chipfire.errors import FireBelowThreshold, InvalidParams, InvariantViolation
+from chipfire.errors import InvalidParams, InvariantViolation
 
 
 def w(state):
@@ -55,23 +53,6 @@ def test_params_validation():
         GameParams(3, 2).require_structured()
 
 
-def test_fire_first_step_of_seven():
-    s = fire(new_state(7, GameParams(1, 2)), 0)
-    assert s.chips == {-1: 1, 0: 4, 1: 2}
-
-
-def test_fire_empties_vertex_at_exact_threshold():
-    s = fire(new_state(5, GameParams(2, 3)), 0)
-    assert s.chips == {-1: 2, 1: 3}
-
-
-def test_fire_below_threshold():
-    with pytest.raises(FireBelowThreshold):
-        fire(new_state(2, GameParams(1, 2)), 0)
-    with pytest.raises(FireBelowThreshold):
-        fire(new_state(9, GameParams(1, 2)), 3)
-
-
 def test_stabilize_seven_one_two():
     final, log = stabilize(new_state(7, GameParams(1, 2)))
     assert final.chips == {-1: 2, 0: 2, 1: 1, 2: 2}
@@ -88,27 +69,6 @@ def test_stabilize_below_threshold_is_identity():
     s = new_state(2, GameParams(2, 3))
     final, log = stabilize(s)
     assert final == s and log.total == 0
-
-
-def test_increment_origin_known_steps():
-    p12 = GameParams(1, 2)
-    final7, _ = stabilize(new_state(7, p12))
-    assert w(increment_origin(final7)) == "111.1112"
-    p23 = GameParams(2, 3)
-    final17, _ = stabilize(new_state(17, p23))
-    assert w(final17) == "234.413"
-    assert w(increment_origin(final17)) == "422.2413"
-    one = stabilize(new_state(1, p23))[0]
-    assert increment_origin(one).chips == {0: 2}
-
-
-def test_increment_matches_fresh_stabilization():
-    p = GameParams(2, 3)
-    cur = new_state(0, p)
-    for n in range(1, 60):
-        cur = increment_origin(cur)
-        fresh, _ = stabilize(new_state(n, p))
-        assert cur == fresh, f"increment diverged at n={n}"
 
 
 def test_settle_right_transition_examples():

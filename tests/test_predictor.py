@@ -21,7 +21,6 @@ from chipfire import (
     one_b_settlement,
     oracle_states,
     r_sequence,
-    right_advance,
     settlement,
     split,
     stabilize,
@@ -245,10 +244,18 @@ def test_elevated_increment_rejects_irregular():
 
 
 def test_right_advance_examples():
+    """One more chip advances the settlement index by the explosion count of
+    the elevated increment: zero if the last digit is below a+b-1, else one
+    plus the run of digits >= b immediately left of it."""
     p = GameParams(2, 3)
-    assert right_advance(DigitWord((2, 3, 4), 0), 4, p) == 6
-    assert right_advance(DigitWord((2, 3, 3), 0), 4, p) == 4
-    assert right_advance(DigitWord((4, 4, 4), 0), 7, p) == 10
+    for digits, explosions in [((2, 3, 4), 2), ((2, 3, 3), 0), ((4, 4, 4), 3)]:
+        assert elevated_increment(DigitWord(digits, 0), p)[1] == explosions
+        # digits[first:-1] is the run of digits >= b left of the last digit.
+        first = len(digits) - 1
+        while first and digits[first - 1] >= p.b:
+            first -= 1
+        suffix = 0 if digits[-1] < p.a + p.b - 1 else len(digits) - first
+        assert suffix == explosions, digits
     assert settlement(6, p).fraction_digits() == (2, 4, 1, 3)
     assert settlement(10, p).fraction_digits() == (2, 2, 2, 4, 1, 3)
 

@@ -8,7 +8,6 @@ from chipfire import (
     compute_profile,
     delta_strings,
     dormant_census,
-    is_dormant,
     lemma8_inequalities,
     settle_right,
     settlement,
@@ -25,7 +24,6 @@ from chipfire.settlements import (
     tetrahedral,
     tetrahedral_highest_dormant_index,
     tetrahedral_periodic_start,
-    triangular,
 )
 from chipfire.words import EMPTY_WORD, DigitWord
 
@@ -37,6 +35,11 @@ STRUCTURED_PAIRS = [
 
 def xi_str(k, params):
     return word_to_string(settlement(k, params))
+
+
+def dormant(w, params):
+    """Origout digit below a: an origin firing triggers no fire-back."""
+    return w.digit_at(-1) < params.a
 
 
 def test_c_values():
@@ -71,9 +74,9 @@ def test_settlement_next_rejects_unsettled():
 
 def test_dormancy():
     p = GameParams(2, 3)
-    assert is_dormant(DigitWord.fraction((1, 3)), p)
-    assert not is_dormant(DigitWord.fraction((4, 3)), p)
-    assert is_dormant(EMPTY_WORD, p)
+    assert dormant(DigitWord.fraction((1, 3)), p)
+    assert not dormant(DigitWord.fraction((4, 3)), p)
+    assert dormant(EMPTY_WORD, p)
 
 
 @pytest.mark.parametrize("a,b", STRUCTURED_PAIRS)
@@ -149,7 +152,7 @@ def test_anchor_word_first_occurrence():
         seq = seq_for(p)
         first = next(k for k in range(200) if seq.word(k) == anchor)
         assert first == periodic_start(p) == c * (c + 3) // 2
-        assert first == triangular(c + 1) - 1
+        assert first == (c + 1) * (c + 2) // 2 - 1  # T_{c+1} - 1
         if c <= 2:
             assert first == tetrahedral_periodic_start(p)
         else:
@@ -164,8 +167,8 @@ def test_dormant_census(a, b):
     assert highest == highest_dormant_index(p) == (p.c - 1) * (p.c + 2) // 2
     # enumerated dormant indices are exactly 0 and the pre-anchor milestones
     dormants = [k for k in range(periodic_start(p) + 2 * p.c + 1)
-                if is_dormant(settlement(k, p), p)]
-    assert dormants == [0] + [triangular(i + 1) - 1 for i in range(1, p.c)]
+                if dormant(settlement(k, p), p)]
+    assert dormants == [0] + [(i + 1) * (i + 2) // 2 - 1 for i in range(1, p.c)]
 
 
 def test_dormant_census_examples():
@@ -222,7 +225,8 @@ def test_lemma8_inequalities(a, b):
 
 
 def test_tetrahedral_helpers():
-    assert [triangular(i) for i in range(5)] == [0, 1, 3, 6, 10]
+    # Te_i - Te_(i-1) is the triangular number i(i+1)/2.
+    assert [tetrahedral(i) - tetrahedral(i - 1) for i in range(1, 5)] == [1, 3, 6, 10]
     assert [tetrahedral(i) for i in range(5)] == [0, 1, 4, 10, 20]
 
 

@@ -10,8 +10,6 @@ from chipfire import (
     DigitWord,
     GameParams,
     eval_base,
-    explode_normalize,
-    explode_once,
     final_state,
     string_to_word,
     to_base,
@@ -74,34 +72,6 @@ def test_round_trip(a, b):
         assert eval_base(to_base(n, p), p) == n
 
 
-def test_explode_single_pile():
-    assert explode_normalize(DigitWord((5,), 0), P23).digits == (2, 2)
-    assert explode_normalize(DigitWord((1,), 0), P23).digits == (1,)
-
-
-def test_explode_successor_of_212():
-    w = explode_normalize(DigitWord((2, 1, 3), 0), P23)
-    assert word_to_string(w) == "2100"
-
-
-def test_explode_once_preserves_value():
-    w = DigitWord((7, 1), 0)
-    before = eval_base(w, P23)
-    after = explode_once(w, 1, P23)
-    assert eval_base(after, P23) == before
-    with pytest.raises(InvalidBase):
-        explode_once(DigitWord((1, 1), 0), 0, P23)
-
-
-def test_successor_consistency():
-    for a, b in [(1, 2), (2, 3), (3, 4), (4, 7)]:
-        p = GameParams(a, b)
-        for n in range(0, 300):
-            w = to_base(n, p)
-            bumped = DigitWord(w.digits[:-1] + (w.digits[-1] + 1,), 0)
-            assert explode_normalize(bumped, p) == to_base(n + 1, p)
-
-
 @given(
     n=st.integers(min_value=0, max_value=10**6),
     pair=st.sampled_from([(1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6), (5, 7)]),
@@ -110,19 +80,6 @@ def test_successor_consistency():
 def test_round_trip_property(n, pair):
     p = GameParams(*pair)
     assert eval_base(to_base(n, p), p) == n
-
-
-@given(
-    digits=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=8),
-    pair=st.sampled_from([(1, 2), (2, 3), (3, 4), (3, 5)]),
-)
-@settings(max_examples=120, deadline=None)
-def test_explode_normalize_preserves_value(digits, pair):
-    p = GameParams(*pair)
-    w = DigitWord(tuple(digits), 0)
-    out = explode_normalize(w, p)
-    assert eval_base(out, p) == eval_base(w, p)
-    assert all(d < p.b for d in out.digits)
 
 
 # --- text formats -----------------------------------------------------------
