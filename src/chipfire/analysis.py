@@ -18,7 +18,7 @@ from operator import mul
 
 from .engine import ChipState, GameParams
 from .errors import DivisionByZero, EqualRates, InconsistentLog, NotDivisible
-from .words import DigitWord, EMPTY_WORD, eval_base, segment_length
+from .words import DigitWord, eval_base, segment_length
 
 __all__ = [
     "InvariantReport",
@@ -60,33 +60,27 @@ def state_poly_eval(state: ChipState, t: Fraction | int) -> Fraction:
 def state_word(state: ChipState) -> DigitWord:
     """Canonical full state string: vertex m holds the digit at position -m."""
     left, right = split(state)
-    return DigitWord(left.digits + right.digits, right.radix)
+    return DigitWord(left + right, -len(right))
 
 
-def split(state: ChipState) -> tuple[DigitWord, DigitWord]:
-    """Left part (vertices <= 0) and right part (vertices >= 1) as words."""
+def split(state: ChipState) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The digit tuples of vertices lo..0 and 1..hi, where lo = min(support, 0).
+
+    The left tuple ends with the origin digit, so it is never empty; the
+    right one is () when nothing sits right of the origin.  These are the
+    ``left`` and ``right`` of an ``engine.oracle_rows`` row.
+    """
     lo = min(min(state.chips), 0) if state.chips else 0
-    left = DigitWord(tuple(state.count(v) for v in range(lo, 1)), 0)
     hi = max(state.chips, default=0)
-    if hi < 1:
-        right = EMPTY_WORD
-    else:
-        right = DigitWord.fraction(tuple(state.count(v) for v in range(1, hi + 1)))
-    return left, right
+    return (tuple(state.count(v) for v in range(lo, 1)),
+            tuple(state.count(v) for v in range(1, hi + 1)))
 
 
-def combine(left: DigitWord, right: DigitWord, params: GameParams) -> ChipState:
-    """Rebuild a state from its two parts (inverse of split)."""
-    chips: dict[int, int] = {}
-    for p in range(left.radix, left.hi + 1):
-        d = left.digit_at(p)
-        if d:
-            chips[-p] = d
-    for p in range(right.radix, min(right.hi, -1) + 1):
-        d = right.digit_at(p)
-        if d:
-            chips[-p] = d
-    return ChipState(params, chips)
+def combine(left: tuple, right: tuple, params: GameParams) -> ChipState:
+    """Rebuild a state from the digit tuples of its two parts (inverse of
+    split); ``left`` may be () for a state with nothing at or left of the
+    origin."""
+    return ChipState(params, dict(zip(range(1 - len(left), len(right) + 1), left + right)))
 
 
 def side_values(left: tuple, right: tuple, f0: int, f1: int,
@@ -94,9 +88,10 @@ def side_values(left: tuple, right: tuple, f0: int, f1: int,
     """Side values of a state reached from n chips at the origin with f0
     origin and f1 origout firings.
 
-    ``left`` holds the digits of vertices lo..0 and ``right`` those of
-    vertices 1..hi, as in ``split``; each part is valued at 1 by its digit
-    sum and at b/a by eval_base.  Verifies the four exact identities
+    ``left`` and ``right`` are the state's parts as ``split`` gives them;
+    each is valued at 1 by its digit sum and at b/a by eval_base, which
+    places the left digits at positions len-1..0 and the right ones at
+    -1, -2, ....  Verifies the four exact identities
         left(1)  = n - b*f0 + a*f1      right(1)  = b*f0 - a*f1
         left(b/a) = n - a*(f0 - f1)     right(b/a) = a*(f0 - f1)
     and that both b/a side values are integers; raises InconsistentLog on any

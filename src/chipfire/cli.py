@@ -118,13 +118,10 @@ def _record_line(n: int, params: GameParams, answer: FinalAnswer) -> str:
 
 
 def _oracle_answer(n: int, params: GameParams) -> FinalAnswer:
-    """The answer by simulation, with the counts read off the firing log and
-    the left value from them: the right part is worth a*(f0 - f1) at b/a."""
+    """The answer by simulation, with the counts read off the firing log."""
     state, log = stabilize_line(n, params, buffer="an oracle buffer")
-    left, right = analysis.split(state)
-    f0, f1 = log.fires.get(0, 0), log.fires.get(1, 0)
-    return FinalAnswer.parts(left.digits, right.digits, n - params.a * (f0 - f1), f0, f1,
-                             log.total)
+    return FinalAnswer.parts(n, *analysis.split(state), log.fires.get(0, 0),
+                             log.fires.get(1, 0), params.a, log.total)
 
 
 def cmd_final(args, out) -> int:

@@ -498,9 +498,11 @@ def oracle_rows(params: GameParams, n_max: int):
     """Yield (n, left, right, f0, f1) for n = 0..n_max, incrementally.
 
     The rows of oracle_states read straight off the chip buffer: ``left`` is
-    the digit tuple of vertices lo..0 and ``right`` that of vertices 1..hi
-    (empty when nothing sits right of the origin), as in ``analysis.split``;
-    f0 and f1 are the origin and origout firing counts.
+    the digit tuple of vertices lo..0, ending with the origin digit, and
+    ``right`` that of vertices 1..hi (() when nothing sits right of the
+    origin), the pair ``analysis.split`` gives for the row's state and the
+    form in which the package passes a state's parts around; f0 and f1 are
+    the origin and origout firing counts.
     """
     for n, bb in _increments(params, n_max):
         bb.check_bound()

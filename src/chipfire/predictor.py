@@ -34,7 +34,7 @@ from .analysis import firings_from_weight, segments_weighted_sum
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import CensusMismatch, InvalidParams, NotRegular, ScanExhausted, WindowFailure
 from .settlements import highest_dormant_index, seq_for
-from .words import DigitWord, EMPTY_WORD, segment_digits
+from .words import DigitWord, segment_digits
 
 __all__ = [
     "PredictorProfile",
@@ -69,23 +69,24 @@ class PredictorProfile:
     rows: tuple[tuple, ...]
 
 
-def elevated_increment(left: DigitWord, params: GameParams) -> tuple[DigitWord, int]:
+def elevated_increment(left: tuple, params: GameParams) -> tuple[tuple, int]:
     """Add one chip at the origin of the elevated game.
 
     In the elevated regime a digit reaching a+b sheds b and passes a to its
     left neighbor (which appears as a fresh digit a when there is none).
-    Returns the new left word and the number of explosions; each position can
-    explode at most once per added chip because a < b.
+    Takes and returns left-part digit tuples, the origin digit last, and
+    also returns the number of explosions; each position can explode at
+    most once per added chip because a < b.
     """
     params.require_structured()
     a, b = params.a, params.b
-    ds = list(left.digits)
+    ds = list(left)
     if not ds or any(d < a for d in ds):
         raise NotRegular(f"left word {ds} has a digit below a={a}")
     if any(d >= a + b for d in ds):
         raise NotRegular(f"left word {ds} is not a final-state part")
     explosions = _increment(ds, a, b)
-    return DigitWord(tuple(ds), 0), explosions
+    return tuple(ds), explosions
 
 
 def _increment(ds: list, a: int, b: int) -> int:
@@ -106,19 +107,19 @@ def _increment(ds: list, a: int, b: int) -> int:
     return explosions
 
 
-def left_regular_word(value: int, params: GameParams) -> DigitWord | None:
-    """The unique base-b/a word over digits [a, a+b) with the given value.
+def left_regular_word(value: int, params: GameParams) -> tuple | None:
+    """The digits of the unique base-b/a numeral over [a, a+b) with the given
+    value, as a left part: most significant first, the origin digit last.
 
-    None when no such word exists (which is what distinguishes the regular
-    regime).  Digits are produced low-to-high: the low digit is congruent to
-    the value mod b, and peeling it leaves a*(value-d)/b.
+    () for 0, and None when no such numeral exists (which is what
+    distinguishes the regular regime).  Digits are produced low-to-high: the
+    low digit is congruent to the value mod b, and peeling it leaves
+    a*(value-d)/b.
     """
     params.require_structured()
     a, b = params.a, params.b
     if value < 0:
         return None
-    if value == 0:
-        return EMPTY_WORD
     low_first = []
     v = value
     while v > 0:
@@ -127,7 +128,7 @@ def left_regular_word(value: int, params: GameParams) -> DigitWord | None:
             return None
         low_first.append(d)
         v = a * (v - d) // b
-    return DigitWord(tuple(reversed(low_first)), 0)
+    return tuple(reversed(low_first))
 
 
 def aa_final(n: int, a: int) -> DigitWord:
@@ -250,8 +251,7 @@ def _step_ok(row: tuple, nxt: tuple, params: GameParams, seq, ac: int) -> bool:
     increment as it is.
     """
     n, left, right, f0, _ = row
-    closed = left_regular_word(n - ac, params)
-    if closed is None or closed.digits != left:
+    if left_regular_word(n - ac, params) != left:
         return False
     digits = list(left)
     explosions = _increment(digits, params.a, params.b)
@@ -275,12 +275,12 @@ class FinalAnswer(NamedTuple):
     ``left_value`` is the value of the head at b/a, an integer set from the
     counts, never by evaluating digits.  S(b/a) = n, and origin firings move
     a to the right part at b/a while origout firings move it back, so the
-    right part is worth a*(f0 - f1) and the left value is n - a*(f0 - f1) on
-    table rows and --oracle answers, and n - a*c past H, the value its left
-    word was peeled from.  The gcd lift makes it d*L + q from the reduced
-    answer's L, the mirror the origin digit plus the (b, a) answer's right
-    value b*(f0 - f1), and a = b (every power of b/a is one) the digit sum
-    a*k + q.
+    right part is worth a*(f0 - f1) and the left value is n - a*(f0 - f1),
+    which ``parts`` sets, on table rows and --oracle answers, and n - a*c
+    past H, the value its left word was peeled from.  The gcd lift makes it
+    d*L + q from the reduced answer's L, the mirror the origin digit plus
+    the (b, a) answer's right value b*(f0 - f1), and a = b (every power of
+    b/a is one) the digit sum a*k + q.
     f0 and f1 are the origin and origout firing counts, None where the
     dispatch does not define them.
     ``total`` is the total firing count when it was logged; otherwise
@@ -295,11 +295,13 @@ class FinalAnswer(NamedTuple):
     total: int | None = None
 
     @classmethod
-    def parts(cls, left, right, left_value, f0, f1, total=None) -> "FinalAnswer":
-        """The answer for a state given as its digit tuples left of the origin
-        (ending with the origin digit) and right of it."""
+    def parts(cls, n, left, right, f0, f1, a, total=None) -> "FinalAnswer":
+        """The answer for n chips whose final state has the parts ``left`` and
+        ``right`` (as analysis.split gives them) after f0 origin and f1
+        origout firings of a pair sending a chips left: its left value is
+        n - a*(f0 - f1)."""
         return cls(((left, 1),) if left else (), ((right, 1),) if right else (),
-                   left_value, f0, f1, total)
+                   n - a * (f0 - f1), f0, f1, total)
 
     def word(self) -> DigitWord:
         head, tail = segment_digits(self.head), segment_digits(self.tail)
@@ -363,14 +365,14 @@ def final_answers(lo: int, hi: int, params: GameParams) -> Iterator[FinalAnswer]
     prof = profile_for(params)
     for n in range(lo, min(hi, prof.H) + 1):
         _, left, right, f0, f1 = prof.rows[n]
-        yield FinalAnswer.parts(left, right, n - a * (f0 - f1), f0, f1)
+        yield FinalAnswer.parts(n, left, right, f0, f1, a)
     first = max(lo, prof.H + 1)
     if first > hi:
         return
     seq, c = seq_for(params), params.c
     ac = a * c
     left, k = _fast_parts(first, params, prof)
-    digits = list(left.digits)
+    digits = list(left)
     for n in range(first, hi + 1):
         if n > first:
             k += _increment(digits, a, b)
@@ -431,14 +433,14 @@ def final_counts(n: int, params: GameParams) -> tuple[int | None, int | None, in
     return final_answer(n, params).counts(params)
 
 
-def _fast_parts(n: int, params: GameParams, prof: PredictorProfile) -> tuple[DigitWord, int]:
+def _fast_parts(n: int, params: GameParams, prof: PredictorProfile) -> tuple[tuple, int]:
     ac = params.a * params.c
     left = left_regular_word(n - ac, params)
-    if left is None or any(d < params.a for d in left.digits):
+    if left is None or any(d < params.a for d in left):
         raise WindowFailure(
             f"no regular left word at n={n}; H={prof.H} was miscertified"
         )
-    k, r = divmod(n - left.digit_sum() - ac, params.b - params.a)
+    k, r = divmod(n - sum(left) - ac, params.b - params.a)
     if r or k < 0:
         raise WindowFailure(f"inconsistent settlement index at n={n}")
     return left, k
@@ -449,13 +451,11 @@ def _fast_parts(n: int, params: GameParams, prof: PredictorProfile) -> tuple[Dig
 # ---------------------------------------------------------------------------
 
 
-def one_b_settlement(k: int, b: int) -> DigitWord:
-    """xi_k for the 1-b game: k-1 copies of b-1 followed by b."""
+def one_b_settlement(k: int, b: int) -> tuple:
+    """xi_k for the 1-b game as a right part: k-1 copies of b-1 followed by b."""
     if b < 2 or k < 0:
         raise InvalidParams("need b >= 2 and k >= 0")
-    if k == 0:
-        return EMPTY_WORD
-    return DigitWord.fraction((b - 1,) * (k - 1) + (b,))
+    return (b - 1,) * (k - 1) + (b,) if k else ()
 
 
 def nu(b: int, x: int) -> int:
@@ -483,10 +483,11 @@ def one_b_right_length(n: int, b: int) -> int:
     return sum(nu(b, i) for i in range(1, n - b - 1))
 
 
-def r_sequence(b: int, i: int) -> DigitWord:
+def r_sequence(b: int, i: int) -> tuple:
     """i-th string (1-based) over digits {1..b} in increasing value order.
 
-    This is the bijective base-b numeral of i: the 1-b left parts follow it.
+    This is the bijective base-b numeral of i, most significant digit
+    first: the 1-b left parts follow it.
     """
     if b < 2 or i < 1:
         raise InvalidParams("need b >= 2 and i >= 1")
@@ -498,13 +499,12 @@ def r_sequence(b: int, i: int) -> DigitWord:
             d = b
         low_first.append(d)
         v = (v - d) // b
-    return DigitWord(tuple(reversed(low_first)), 0)
+    return tuple(reversed(low_first))
 
 
-def binary_trick_left(n: int) -> DigitWord:
+def binary_trick_left(n: int) -> tuple:
     """1-2 left part for n >= 4: drop the leading binary digit of n and
     raise every remaining digit by one."""
     if n < 4:
         raise InvalidParams("the binary recipe needs n >= 4")
-    rest = bin(n)[3:]
-    return DigitWord(tuple(int(ch) + 1 for ch in rest), 0)
+    return tuple(int(ch) + 1 for ch in bin(n)[3:])

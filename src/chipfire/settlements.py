@@ -73,9 +73,17 @@ def tetrahedral_highest_dormant_index(params: GameParams) -> int:
     return tetrahedral(params.c - 1) + 1
 
 
-def _next_tuple(word: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """One settlement move: find the first digit below a (j = len+1 if none);
-    bump position 1 by b if j == 1, else shift a from j-1 onto j."""
+def settlement_next(word: tuple[int, ...], params: GameParams) -> tuple[int, ...]:
+    """The settlement following the right part ``word`` (one more origin
+    firing, right side settled).
+
+    One move: find the first digit below a (j = len+1 if none); bump
+    position 1 by b if j == 1, else shift a from j-1 onto j.
+    """
+    params.require_structured()
+    a, b = params.a, params.b
+    if any(d >= a + b for d in word):
+        raise InvalidParams("input is not settled: digit >= a+b")
     j = len(word) + 1
     for i, d in enumerate(word, start=1):
         if d < a:
@@ -95,15 +103,6 @@ def _next_tuple(word: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
             out.append(b)
     assert all(0 <= d < a + b for d in out), "settlement move left a firable digit"
     return tuple(out)
-
-
-def settlement_next(w: DigitWord, params: GameParams) -> DigitWord:
-    """The settlement following w (one more origin firing, right side settled)."""
-    params.require_structured()
-    word = w.fraction_digits() if not w.is_empty() else ()
-    if any(d >= params.threshold for d in word):
-        raise InvalidParams("input is not settled: digit >= a+b")
-    return DigitWord.fraction(_next_tuple(tuple(word), params.a, params.b))
 
 
 def _delta_tuples(a: int, b: int, c: int) -> list[tuple[int, ...]]:
@@ -138,7 +137,7 @@ class SettlementSeq:
     def _cached(self, k: int) -> tuple[int, ...]:
         words = self._words
         while len(words) <= k:
-            words.append(_next_tuple(words[-1], self.params.a, self.params.b))
+            words.append(settlement_next(words[-1], self.params))
         return words[k]
 
     def _periodic(self, k: int) -> tuple[int, int] | None:
@@ -163,9 +162,6 @@ class SettlementSeq:
         p, q = pq
         return ((self.lead, p + 1), (self.deltas[q], 1))
 
-    def settlement(self, k: int) -> DigitWord:
-        return DigitWord.fraction(self.word(k))
-
 
 @functools.cache
 def seq_for(params: GameParams) -> SettlementSeq:
@@ -175,8 +171,9 @@ def seq_for(params: GameParams) -> SettlementSeq:
 
 
 def settlement(k: int, params: GameParams) -> DigitWord:
-    """xi_k: iterated below the periodic start, closed form above it."""
-    return seq_for(params).settlement(k)
+    """xi_k as a right-part word: iterated below the periodic start, closed
+    form above it."""
+    return DigitWord.fraction(seq_for(params).word(k))
 
 
 def delta_strings(params: GameParams) -> list[DigitWord]:

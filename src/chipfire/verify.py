@@ -49,7 +49,7 @@ from .settlements import (
     tetrahedral_highest_dormant_index,
     tetrahedral_periodic_start,
 )
-from .words import EMPTY_WORD, DigitWord, eval_base, segment_digits, word_to_string
+from .words import DigitWord, eval_base, segment_digits, word_to_string
 
 __all__ = [
     "SuiteReport",
@@ -261,10 +261,9 @@ def settlements_suite(pairs: list[tuple[int, int]] | None = None) -> SuiteReport
         cur: tuple[int, ...] = ()
         for k in range(60):
             # one origin firing puts b more chips on the origout
-            fired = DigitWord.fraction((cur[0] + b,) + cur[1:] if cur else (b,))
-            settled = settle_right(analysis.combine(EMPTY_WORD, fired, p))
-            engine_word = analysis.split(settled)[1].fraction_digits()
-            lemma_word = settlement_next(DigitWord.fraction(cur), p).fraction_digits()
+            fired = (cur[0] + b,) + cur[1:] if cur else (b,)
+            engine_word = analysis.split(settle_right(analysis.combine((), fired, p)))[1]
+            lemma_word = settlement_next(cur, p)
             rep.check(
                 lemma_word == engine_word and seq.word(k + 1) == engine_word,
                 f"a={a} b={b}: transition diverges from engine at k={k}",
@@ -276,7 +275,7 @@ def settlements_suite(pairs: list[tuple[int, int]] | None = None) -> SuiteReport
         words = [seq.word(k) for k in range(top + 1)]
         it = ()
         for k in range(1, top + 1):
-            it = settlement_next(DigitWord.fraction(it), p).fraction_digits()
+            it = settlement_next(it, p)
             rep.check(
                 words[k] == it,
                 f"a={a} b={b}: closed form != iteration at k={k}",
@@ -386,10 +385,10 @@ def _erratum_notes() -> list[str]:
         )
     # suffix phrasing: left word 233 (n=16) has a >=b suffix of length 2 yet
     # the origin does not fire on the next increment
-    left16 = DigitWord((2, 3, 3), 0)
+    left16 = (2, 3, 3)
     _, explosions = elevated_increment(left16, p)
     suffix_len = 0
-    for d in reversed(left16.digits):
+    for d in reversed(left16):
         if d >= p.b:
             suffix_len += 1
         else:
@@ -430,7 +429,7 @@ def one_b_suite(max_n: int = 500, trick_max: int = 1000) -> SuiteReport:
         seq = seq_for(p)
         for k in range(31):
             rep.check(
-                one_b_settlement(k, b).fraction_digits() == seq.word(k),
+                one_b_settlement(k, b) == seq.word(k),
                 f"b={b}: (b-1)_(k-1) b formula breaks at k={k}",
             )
     first_mismatches = []
@@ -453,20 +452,19 @@ def one_b_suite(max_n: int = 500, trick_max: int = 1000) -> SuiteReport:
                         )
             if b == 2 and 4 <= n <= trick_max:
                 rep.check(
-                    left == binary_trick_left(n).digits,
+                    left == binary_trick_left(n),
                     f"b=2 n={n}: binary left-part trick differs from simulation",
                 )
             # R(b) law: phi(n)^L is the (n-1)-th entry (the n-2 indexing in
             # circulation is off by one; pinned at n = b+2 and asserted after)
             if n == b + 2:
                 rep.check(
-                    left == r_sequence(b, n - 1).digits
-                    and left != r_sequence(b, n - 2).digits,
+                    left == r_sequence(b, n - 1) and left != r_sequence(b, n - 2),
                     f"b={b}: R-sequence offset is not n-1 at n={n}",
                 )
             elif b + 2 < n <= r_max:
                 rep.check(
-                    left == r_sequence(b, n - 1).digits,
+                    left == r_sequence(b, n - 1),
                     f"b={b} n={n}: left part is not R(b)_(n-1)",
                 )
         if first:

@@ -1,9 +1,12 @@
 """Digit words and exact base-b/a numeration.
 
 A DigitWord is a finite block of non-negative digits where position p carries
-weight (b/a)^p.  The same type serves as a base-b/a numeral, a full state
-string, or the left/right part of a state.  Values are always evaluated with
-exact rational arithmetic; (b/a)^k is never approximated.
+weight (b/a)^p.  It serves wherever the radix position carries information:
+as a base-b/a numeral, a whole state string, or a part of a state handed to
+eval_base or word_to_string.  Between modules a state's two parts travel as
+plain digit tuples instead (see analysis.split), whose side fixes their
+positions.  Values are always evaluated with exact rational arithmetic;
+(b/a)^k is never approximated.
 
 Words are immutable and freely shareable.
 """
@@ -67,11 +70,6 @@ class DigitWord:
     def hi(self) -> int:
         return self.radix + len(self.digits) - 1
 
-    def digit_at(self, p: int) -> int:
-        if not self.digits or not self.radix <= p <= self.hi:
-            return 0
-        return self.digits[self.hi - p]
-
     def integer_digits(self) -> tuple[int, ...]:
         """Digits at positions hi..0, zero-padded down to position 0.
 
@@ -90,9 +88,6 @@ class DigitWord:
         if self.hi < -1:
             return (0,) * (-1 - self.hi) + self.digits
         return self.digits[self.hi + 1 :]
-
-    def digit_sum(self) -> int:
-        return sum(self.digits)
 
     def is_empty(self) -> bool:
         return not self.digits
@@ -145,7 +140,7 @@ def eval_base(w: DigitWord, params: GameParams) -> Fraction:
     d = gcd(params.a, params.b)
     a, b = params.a // d, params.b // d
     if a == b:
-        return Fraction(w.digit_sum())
+        return Fraction(sum(w.digits))
     # num = sum over positions of d_p * b^(p-radix) * a^(hi-p), an integer;
     # the true value is then num * b^radix / a^hi.
     val = Fraction(_numerator(w.digits, 0, len(w.digits), a, b, {}))

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chipfire import (
     ChipState,
+    DigitWord,
     FiringStrategy,
     GameParams,
     combine,
@@ -44,34 +45,49 @@ def test_state_poly_division_by_zero():
 def test_split_examples():
     p = GameParams(2, 3)
     final, _ = stabilize(new_state(21, p))
-    left, right = split(final)
-    assert left.digits == (4, 4, 2) and left.radix == 0
-    assert right.digits == (2, 2, 4, 3) and right.radix == -4
-    assert combine(left, right, p) == final
+    assert split(final) == ((4, 4, 2), (2, 2, 4, 3))
+    assert combine((4, 4, 2), (2, 2, 4, 3), p) == final
+    assert state_word(final) == DigitWord((4, 4, 2, 2, 2, 4, 3), -4)
 
-    s = new_state(9, p)
-    left, right = split(s)
-    assert left.digits == (9,) and right.is_empty()
+    assert split(new_state(9, p)) == ((9,), ())
 
     final7, _ = stabilize(new_state(7, GameParams(1, 2)))
-    left, right = split(final7)
-    assert word_to_string(left) == "22"
-    assert word_to_string(right) == ".12"
+    assert split(final7) == ((2, 2), (1, 2))
 
 
-def test_split_combine_round_trip():
-    p = GameParams(2, 3)
-    for n, state, _ in oracle_states(p, 50):
-        left, right = split(state)
-        assert combine(left, right, p) == state
+# Supports anywhere on the line: empty, left of the origin only, right of it
+# only, and with gaps (zero digits) between occupied vertices.
+@given(chips=st.dictionaries(st.integers(min_value=-12, max_value=12),
+                             st.integers(min_value=1, max_value=30), max_size=8),
+       pair=st.sampled_from([(1, 2), (2, 3), (3, 2), (2, 2)]))
+@example(chips={}, pair=(2, 3))
+@example(chips={-3: 2, -1: 1}, pair=(2, 3))
+@example(chips={2: 5}, pair=(2, 3))
+@example(chips={-5: 1, 4: 2}, pair=(1, 2))
+@settings(max_examples=300, deadline=None)
+def test_split_combine_round_trip(chips, pair):
+    """split gives the digits of vertices lo..0, ending with the origin digit,
+    and of 1..hi, () when nothing sits right of the origin; combine inverts
+    it, also from an empty left part when nothing sits at or left of the
+    origin."""
+    p = GameParams(*pair)
+    state = ChipState(p, chips)
+    left, right = split(state)
+    lo, hi = min(min(chips, default=0), 0), max(max(chips, default=0), 0)
+    assert len(left) == 1 - lo and len(right) == hi
+    assert left[-1] == state.count(0)
+    assert left + right == tuple(state.count(v) for v in range(lo, hi + 1))
+    assert combine(left, right, p) == state
+    if lo == 0 and 0 not in chips:
+        assert combine((), right, p) == state
+    assert state_word(state) == DigitWord(left + right, -hi)
 
 
 def _side_values(state, log):
     """side_values of a state split at the origin, with the log's origin and
     origout counts."""
-    left, right = split(state)
     f0, f1 = log.fires.get(0, 0), log.fires.get(1, 0)
-    return side_values(left.digits, right.digits, f0, f1, state.params)
+    return side_values(*split(state), f0, f1, state.params)
 
 
 def test_side_values_seven_one_two():

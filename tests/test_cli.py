@@ -657,14 +657,15 @@ def test_record_lone_dot_forms():
     from chipfire.predictor import FinalAnswer
 
     def answer(word):
-        # The left part is the one digit 14 at the origin, worth 14.
-        return FinalAnswer.parts(word.integer_digits(), word.fraction_digits(), 14, 0, 0, 0)
+        # The left part is the one digit 14 at the origin, worth 14: with no
+        # firings, all 14 chips.
+        return FinalAnswer.parts(14, word.integer_digits(), word.fraction_digits(), 0, 0, 20, 0)
 
     p = GameParams(20, 21)
     for ans, parts in [
         (answer(DigitWord((14, 10), -1)), ("14,.,10", "14,.", ".,10", "14")),
         (answer(DigitWord((14, 3, 2), -2)), ("14.3,2", "14,.", ".32", "14")),
-        (FinalAnswer.parts((), (10,), 0, 0, 0, 0), (".,10", ".", ".,10", "0")),
+        (FinalAnswer.parts(0, (), (10,), 0, 0, 20, 0), (".,10", ".", ".,10", "0")),
     ]:
         rec = dict(zip(RECORD_FIELDS, _record(0, p, ans)))
         assert (rec["state"], rec["left"], rec["right"], rec["left_value_boa"]) == parts

@@ -1,7 +1,7 @@
 """Every function, class and method in the package has a reader, and one
-outside the tests but for two reference implementations, every field of a
-package dataclass or NamedTuple is read as an attribute, and every exported
-name exists."""
+outside the tests but for two reference implementations, every method,
+property and field of a package class is read as an attribute, and every
+exported name exists."""
 
 import ast
 import importlib
@@ -26,29 +26,37 @@ def _all_strings(tree: ast.Module) -> set[int]:
 
 
 def _appearances(tree: ast.Module):
-    """(name, line) for every Name, Attribute, imported name and string
-    constant in the module, the strings of ``__all__`` left out."""
+    """(name, line, is_attribute) for every Name, Attribute, imported name and
+    string constant in the module, the strings of ``__all__`` left out;
+    is_attribute marks an attribute read such as ``rep.check``."""
     exported = _all_strings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, isinstance(node.ctx, ast.Load)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 for part in alias.name.split("."):
-                    yield part, node.lineno
+                    yield part, node.lineno, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in exported):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, False
+
+
+_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions(tree: ast.Module):
-    """Every function, class and method whose name is not a dunder."""
+    """(node, is_member) for every function, class and method whose name is
+    not a dunder; is_member marks a method or property, a definition in a
+    class body."""
+    members = {id(stmt) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for stmt in cls.body if isinstance(stmt, _DEFINITION)}
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, _DEFINITION):
             if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield node
+                yield node, id(node) in members
 
 
 def _sources(readers) -> list[Path]:
@@ -56,18 +64,23 @@ def _sources(readers) -> list[Path]:
 
 
 def _unread(sources) -> list[str]:
-    """Every package definition that none of the ``sources`` mentions."""
-    seen: dict[str, list[tuple[Path, int]]] = {}
+    """Every package definition that none of the ``sources`` mentions.
+
+    Only an attribute read counts for a method or property: a local,
+    parameter or string of the same name is no reader of ``obj.name``.
+    """
+    seen: dict[str, list[tuple[Path, int, bool]]] = {}
     for path in sources:
-        for name, line in _appearances(ast.parse(path.read_text(), str(path))):
-            seen.setdefault(name, []).append((path, line))
+        for name, line, is_attribute in _appearances(ast.parse(path.read_text(), str(path))):
+            seen.setdefault(name, []).append((path, line, is_attribute))
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _definitions(ast.parse(path.read_text(), str(path))):
+        for node, is_member in _definitions(ast.parse(path.read_text(), str(path))):
             # A mention inside the definition itself (recursion, say) is no reader.
             outside = [
-                (where, line) for where, line in seen.get(node.name, [])
-                if not (where == path and node.lineno <= line <= node.end_lineno)
+                where for where, line, is_attribute in seen.get(node.name, [])
+                if (is_attribute or not is_member)
+                and not (where == path and node.lineno <= line <= node.end_lineno)
             ]
             if not outside:
                 dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")

@@ -28,8 +28,11 @@ from chipfire import (
     word_to_string,
 )
 from chipfire.analysis import firings_from_weight
+from chipfire.engine import stabilize_line
 from chipfire.errors import InvalidParams, NotRegular, ScanExhausted
 from chipfire.predictor import compute_profile, final_answer, final_counts, profile_for
+from chipfire.verify import coprime_pairs
+from chipfire.words import segment_digits
 
 SIX_PAIRS = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]
 
@@ -191,8 +194,13 @@ def test_mirrored_and_lifted_counts_match_the_log(pair, n):
     assert (f0, total) == (log.fires.get(0, 0), log.total)
 
 
+def _digit_at(w, p):
+    """The digit of the word w at position p, 0 outside its span."""
+    return w.digits[w.hi - p] if w.digits and w.radix <= p <= w.hi else 0
+
+
 def _lift_per_position(w, d, q):
-    """The earlier lift_noncoprime: digit_at and hi called at every position."""
+    """The earlier lift_noncoprime: the digit at every position, one by one."""
     if d < 1 or not 0 <= q < max(d, 1):
         raise InvalidParams(f"need d >= 1 and 0 <= q < d, got d={d}, q={q}")
     if w.is_empty():
@@ -201,7 +209,7 @@ def _lift_per_position(w, d, q):
     hi = max(w.hi, 0)
     digits = []
     for p in range(hi, lo - 1, -1):
-        dig = w.digit_at(p) * d
+        dig = _digit_at(w, p) * d
         if p == 0:
             dig += q
         digits.append(dig)
@@ -232,15 +240,15 @@ def test_lift_matches_per_position_reference(w, d):
 
 def test_elevated_increment_examples():
     p = GameParams(2, 3)
-    assert elevated_increment(DigitWord((2, 3, 4), 0), p) == (DigitWord((4, 2, 2), 0), 2)
-    assert elevated_increment(DigitWord((2, 3, 3), 0), p) == (DigitWord((2, 3, 4), 0), 0)
-    assert elevated_increment(DigitWord((4, 4, 4), 0), p) == (DigitWord((2, 3, 3, 2), 0), 3)
+    assert elevated_increment((2, 3, 4), p) == ((4, 2, 2), 2)
+    assert elevated_increment((2, 3, 3), p) == ((2, 3, 4), 0)
+    assert elevated_increment((4, 4, 4), p) == ((2, 3, 3, 2), 3)
 
 
 def test_elevated_increment_rejects_irregular():
     p = GameParams(2, 3)
     with pytest.raises(NotRegular):
-        elevated_increment(DigitWord((2, 1, 3), 0), p)
+        elevated_increment((2, 1, 3), p)
 
 
 def test_right_advance_examples():
@@ -249,7 +257,7 @@ def test_right_advance_examples():
     plus the run of digits >= b immediately left of it."""
     p = GameParams(2, 3)
     for digits, explosions in [((2, 3, 4), 2), ((2, 3, 3), 0), ((4, 4, 4), 3)]:
-        assert elevated_increment(DigitWord(digits, 0), p)[1] == explosions
+        assert elevated_increment(digits, p)[1] == explosions
         # digits[first:-1] is the run of digits >= b left of the last digit.
         first = len(digits) - 1
         while first and digits[first - 1] >= p.b:
@@ -262,10 +270,10 @@ def test_right_advance_examples():
 
 def test_left_regular_word():
     p = GameParams(2, 3)
-    assert left_regular_word(11, p) == DigitWord((2, 3, 2), 0)  # phi(15)^L
-    assert left_regular_word(14, p) == DigitWord((4, 2, 2), 0)  # phi(18)^L
+    assert left_regular_word(11, p) == (2, 3, 2)  # phi(15)^L
+    assert left_regular_word(14, p) == (4, 2, 2)  # phi(18)^L
     assert left_regular_word(1, p) is None
-    assert left_regular_word(0, p).is_empty()
+    assert left_regular_word(0, p) == ()
 
 
 @pytest.mark.parametrize("a,b", SIX_PAIRS)
@@ -278,8 +286,8 @@ def test_stabilized_side_values_past_B(a, b):
         if n < prof.B:
             continue
         left, right = split(state)
-        assert eval_base(right, p) == ac
-        assert eval_base(left, p) == n - ac
+        assert eval_base(DigitWord(right, -len(right)), p) == ac
+        assert eval_base(DigitWord(left, 0), p) == n - ac
 
 
 @pytest.mark.parametrize("a,b", SIX_PAIRS)
@@ -362,6 +370,37 @@ def test_final_counts_total_matches_digit_sum(pair, n):
     assert final_counts(n, p)[2] == expected
 
 
+@st.composite
+def dispatch_cases(draw):
+    """(a, b, n) on every dispatch branch: a coprime a < b with b <= 20, its
+    mirror, either one times d <= 3, or a = b; n runs to 200 past the
+    threshold H of the pair (d*H + d - 1 under the lift), so it falls on
+    both sides of it."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.integers(min_value=0, max_value=4)) == 4:
+        a = draw(st.integers(min_value=1, max_value=20))
+        return d * a, d * a, draw(st.integers(min_value=0, max_value=400))
+    a, b = draw(st.sampled_from(coprime_pairs(20)))    # c up to 19 at (19, 20)
+    top = d * (profile_for(GameParams(a, b)).H + 1) + 200
+    if draw(st.booleans()):
+        a, b = b, a
+    return d * a, d * b, draw(st.integers(min_value=0, max_value=top))
+
+
+@given(case=dispatch_cases())
+@example(case=(19, 20, 980))       # H of (19, 20)
+@example(case=(19, 20, 981))
+@example(case=(40, 38, 2 * 981))   # the first lifted mirror n past H
+@example(case=(3, 3, 0))
+@settings(max_examples=200, deadline=None)
+def test_fast_path_parts_equal_oracle_on_every_branch(case):
+    """The parts of final_answer are the split of the simulated final state."""
+    a, b, n = case
+    p = GameParams(a, b)
+    ans = final_answer(n, p)
+    assert (segment_digits(ans.head), segment_digits(ans.tail)) == split(stabilize_line(n, p)[0])
+
+
 def test_compute_profile_rejects_unstructured():
     with pytest.raises(InvalidParams):
         compute_profile(GameParams(2, 2))
@@ -381,7 +420,7 @@ def _balanced_B_two_pass(params, scan_limit):
     last_dormant = highest_dormant_index(params)
     for n, state, log in oracle_states(params, scan_limit):
         f0 = log.fires.get(0, 0)
-        if seq.word(f0) != split(state)[1].fraction_digits():
+        if seq.word(f0) != split(state)[1]:
             raise CensusMismatch(f"n={n}")
         if f0 > last_dormant:
             return n
@@ -408,16 +447,16 @@ def _find_H_reference(params, seq, ac, B, words, lefts, f0s, check_window, n_sim
         ok = True
         for n in range(h, h + check_window):
             try:
-                nxt, explosions = elevated_increment(DigitWord(lefts[n], 0), params)
+                nxt, explosions = elevated_increment(lefts[n], params)
             except NotRegular:
                 ok = False
                 break
             closed = predictor.left_regular_word(n - ac, params)
             if (
-                nxt.digits != lefts[n + 1]
+                nxt != lefts[n + 1]
                 or f0s[n] + explosions != f0s[n + 1]
                 or closed is None
-                or closed.digits != lefts[n]
+                or closed != lefts[n]
                 or seq.word(f0s[n]) != words[n].fraction_digits()
             ):
                 ok = False
@@ -586,13 +625,13 @@ def test_B_and_H_laws():
 
 
 def test_one_b_settlement_formula():
-    assert word_to_string(one_b_settlement(3, 2)) == ".112"
-    assert word_to_string(one_b_settlement(1, 5)) == ".5"
-    assert word_to_string(one_b_settlement(4, 3)) == ".2223"
+    assert one_b_settlement(3, 2) == (1, 1, 2)
+    assert one_b_settlement(1, 5) == (5,)
+    assert one_b_settlement(4, 3) == (2, 2, 2, 3)
     for b in (2, 3, 5):
         p = GameParams(1, b)
         for k in range(0, 31):
-            assert one_b_settlement(k, b) == settlement(k, p), (b, k)
+            assert one_b_settlement(k, b) == settlement(k, p).fraction_digits(), (b, k)
 
 
 def test_one_b_right_length_definition():
@@ -614,14 +653,15 @@ def test_one_b_right_length_deviates_from_simulation():
 
 
 def test_r_sequence_prefix():
-    got = [word_to_string(r_sequence(2, i)) for i in range(1, 9)]
-    assert got == ["1", "2", "11", "12", "21", "22", "111", "112"]
-    assert word_to_string(r_sequence(3, 4)) == "11"
+    got = [r_sequence(2, i) for i in range(1, 9)]
+    assert got == [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (1, 1, 2)]
+    assert r_sequence(3, 4) == (1, 1)
 
 
 def test_r_sequence_orders_by_value():
     for b in (2, 3):
-        vals = [eval_base(r_sequence(b, i), GameParams(1, b)) for i in range(1, 60)]
+        vals = [eval_base(DigitWord(r_sequence(b, i), 0), GameParams(1, b))
+                for i in range(1, 60)]
         assert vals == sorted(vals)
         assert len(set(vals)) == len(vals)
 
@@ -638,8 +678,8 @@ def test_left_part_follows_r_sequence():
 
 
 def test_binary_trick():
-    assert word_to_string(binary_trick_left(21)) == "1212"
-    assert word_to_string(binary_trick_left(4)) == "11"
+    assert binary_trick_left(21) == (1, 2, 1, 2)
+    assert binary_trick_left(4) == (1, 1)
     with pytest.raises(InvalidParams):
         binary_trick_left(3)
     p = GameParams(1, 2)
