@@ -239,6 +239,35 @@ def test_checker_cadence(strategy, every, monkeypatch):
         assert (final, log) == stabilize(new_state(n, GameParams(a, b)), strategy)
 
 
+@pytest.mark.parametrize("a,b", [(2, 3), (4, 6), (3, 3)])
+def test_checker_catches_a_corrupted_buffer(a, b):
+    """A buffer that lost a chip fails the chip total.  One whose leftmost
+    chip moved a vertex to the right keeps the total and fails the state
+    polynomial at b/a, except for a = b: there b/a is one and the polynomial
+    is the total again, so only the lost chip can be caught."""
+    n = 60
+    p = GameParams(a, b)
+    final, _ = stabilize(new_state(n, p))
+    checker = engine._Checker(p, n, 1)
+    checker.check(_Buffer(final))
+
+    lost = _Buffer(final)
+    lost.buf[lost.lo] -= 1
+    with pytest.raises(InvariantViolation, match=f"^chip total {n - 1} != n {n} after 0 firings$"):
+        checker.check(lost)
+
+    moved = _Buffer(final)
+    assert moved.hi > moved.lo
+    moved.buf[moved.lo] -= 1
+    moved.buf[moved.lo + 1] += 1
+    if a == b:
+        checker.check(moved)
+    else:
+        with pytest.raises(InvariantViolation,
+                           match=f"^state polynomial at b/a deviates from n={n} after 0 firings$"):
+            checker.check(moved)
+
+
 @given(
     n=st.integers(min_value=0, max_value=120),
     a=st.integers(min_value=1, max_value=5),
