@@ -26,6 +26,7 @@ from .engine import GameParams, stabilize, stabilize_line  # noqa: F401
 from .errors import ChipFiringError, InvalidParams, ParseError, ScanExhausted
 # final_counts stays importable here because span tracers patch it by module.
 from .predictor import (  # noqa: F401
+    CHECK_WINDOW,
     FinalAnswer,
     final_answer,
     final_answers,
@@ -211,7 +212,7 @@ def cmd_profile(args, out) -> int:
     print(f"a={a} b={b} threshold={a + b}", file=out)
     print(f"c = {c}", file=out)
     print(f"B = {prof.B}", file=out)
-    print(f"H = {prof.H} (verified over {prof.verified_window} increments)", file=out)
+    print(f"H = {prof.H} (verified over {CHECK_WINDOW} increments)", file=out)
     _, left, right, f0, _ = prof.rows[prof.H]
     print(f"anchor state = {render_digits(((left, 1),), ((right, 1),), True)}", file=out)
     print(f"anchor settlement index = {f0}", file=out)
@@ -268,6 +269,10 @@ _OPTION_FLAGS = {
     "check_every": "--check-every",
 }
 
+# --seed plays the random schedule with seeds seed, seed+1 and seed+2, and
+# each must fit in 64 unsigned bits.
+_MAX_SEED = 2**64 - 3
+
 
 def cmd_verify(args, out) -> int:
     pairs = _parse_grid(args.params_grid) if args.params_grid else None
@@ -295,6 +300,8 @@ def cmd_verify(args, out) -> int:
         ignored = [_OPTION_FLAGS[key] for key in given if key not in _SUITE_OPTIONS[suite]]
         if ignored:
             raise InvalidParams(f"verify {suite} does not take {', '.join(ignored)}")
+    if args.seed is not None and not 0 <= args.seed <= _MAX_SEED:
+        raise InvalidParams(f"--seed must lie in 0..{_MAX_SEED}, got {args.seed}")
     reports = []
     for name in SUITES if suite == "all" else [suite]:
         kwargs = {key: value for key, value in given.items() if key in _SUITE_OPTIONS[name]}
@@ -344,8 +351,11 @@ def cmd_bench(args, out) -> int:
     return 0
 
 
-def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and the {subcommand: parser} map its subparsers action holds."""
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and the {subcommand: parser} map its subparsers action
+    holds, built once per process; each parse still makes a fresh Namespace,
+    so no option leaks from one call into the next."""
     ap = argparse.ArgumentParser(
         prog="chipfire",
         description="Exact chip-firing laboratory on the integer line",
@@ -398,13 +408,6 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
     p.set_defaults(fn=cmd_bench)
 
     return ap, sub.choices
-
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """_build() once per process; each parse still makes a fresh Namespace,
-    so no option leaks from one call into the next."""
-    return _build()
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidParams, InvariantViolation
+from .words import numerator
 
 __all__ = [
     "GameParams",
@@ -237,45 +238,34 @@ class _Checker:
 
     Verifies sum(s) == n together with the scaled identity
     sum(s_m * a^(m-lo) * b^(hi-m)) == n * a^(-lo) * b^(hi), which is the
-    state polynomial at t=b/a cleared of denominators.  Integer-only, so
-    the check is exact at any size.  The kernels call ``check`` after every
-    ``every``-th firing, counting down inline and only when there is a
-    checker, so an unchecked run pays one ``is not None`` test per firing.
+    state polynomial at t=b/a cleared of denominators, with (a, b) in lowest
+    terms.  The left side is words.numerator over the cells lo..hi, the
+    integer core of eval_base, so the check is exact at any size.  The
+    kernels call ``check`` after every ``every``-th firing, counting down
+    inline and only when there is a checker, so an unchecked run pays one
+    ``is not None`` test per firing.
     """
 
-    __slots__ = ("a", "b", "n", "apow", "bpow", "every")
+    __slots__ = ("a", "b", "n", "every")
 
     def __init__(self, params: GameParams, n: int, every: int):
-        self.a = params.a
-        self.b = params.b
+        d = params.d
+        self.a = params.a // d
+        self.b = params.b // d
         self.n = n
-        self.apow = [1]
-        self.bpow = [1]
         self.every = every
-
-    def _grow(self, table: list[int], base: int, k: int) -> None:
-        while len(table) <= k:
-            table.append(table[-1] * base)
 
     def check(self, bb: _Buffer) -> None:
         lo = min(bb.lo, bb.off)
         hi = max(bb.hi, bb.off)
-        span = hi - lo
-        self._grow(self.apow, self.a, span)
-        self._grow(self.bpow, self.b, span)
-        buf, apow, bpow = bb.buf, self.apow, self.bpow
-        total = 0
-        scaled = 0
-        for i in range(lo, hi + 1):
-            c = buf[i]
-            if c:
-                total += c
-                scaled += c * apow[i - lo] * bpow[hi - i]
+        cells = bb.buf[lo : hi + 1]
+        total = sum(cells)
         if total != self.n:
             raise InvariantViolation(
                 f"chip total {total} != n {self.n} after {sum(bb.fcount)} firings"
             )
-        if scaled != self.n * apow[bb.off - lo] * bpow[hi - bb.off]:
+        a, b = self.a, self.b
+        if numerator(cells, a, b) != self.n * a ** (bb.off - lo) * b ** (hi - bb.off):
             raise InvariantViolation(
                 f"state polynomial at b/a deviates from n={self.n} "
                 f"after {sum(bb.fcount)} firings"

@@ -34,7 +34,7 @@ from .analysis import firings_from_weight, segments_weighted_sum
 from .engine import GameParams, oracle_rows, oracle_states  # noqa: F401
 from .errors import CensusMismatch, InvalidParams, NotRegular, ScanExhausted, WindowFailure
 from .settlements import highest_dormant_index, seq_for
-from .words import DigitWord, segment_digits
+from .words import DigitWord, numeral_digits, segment_digits
 
 __all__ = [
     "PredictorProfile",
@@ -65,7 +65,6 @@ class PredictorProfile:
 
     B: int
     H: int
-    verified_window: int
     rows: tuple[tuple, ...]
 
 
@@ -112,23 +111,11 @@ def left_regular_word(value: int, params: GameParams) -> tuple | None:
     value, as a left part: most significant first, the origin digit last.
 
     () for 0, and None when no such numeral exists (which is what
-    distinguishes the regular regime).  Digits are produced low-to-high: the
-    low digit is congruent to the value mod b, and peeling it leaves
-    a*(value-d)/b.
+    distinguishes the regular regime).  The peel of words.numeral_digits,
+    which to_base runs over [0, b).
     """
     params.require_structured()
-    a, b = params.a, params.b
-    if value < 0:
-        return None
-    low_first = []
-    v = value
-    while v > 0:
-        d = a + (v - a) % b
-        if d > v:
-            return None
-        low_first.append(d)
-        v = a * (v - d) // b
-    return tuple(reversed(low_first))
+    return numeral_digits(value, params.a, params.b, params.a)
 
 
 def aa_final(n: int, a: int) -> DigitWord:
@@ -183,11 +170,13 @@ def mirror_word(w: DigitWord) -> DigitWord:
 # Profiles.
 # ---------------------------------------------------------------------------
 
-def compute_profile(
-    params: GameParams,
-    check_window: int = 50,
-    scan_limit: int = 20000,
-) -> PredictorProfile:
+# The increments a certified H must reproduce, and the chip count past which
+# no B is looked for.
+CHECK_WINDOW = 50
+SCAN_LIMIT = 20000
+
+
+def compute_profile(params: GameParams) -> PredictorProfile:
     """Find the balanced threshold B and certify the fast-path threshold H for
     a coprime pair a < b.
 
@@ -199,14 +188,16 @@ def compute_profile(
     settlement sequence on the way.
 
     H is the smallest n >= B such that every left digit is >= a and, for
-    ``check_window`` consecutive increments, the closed-form left word, the
+    CHECK_WINDOW consecutive increments, the closed-form left word, the
     fast transition (elevated left increment plus explosion-count index
     advance) and the settlement word all reproduce the oracle exactly.
 
-    One oracle_rows pass of scan_limit + check_window chips serves both and
-    stops at row H + check_window.  Raises CensusMismatch when a right part
+    One oracle_rows pass of SCAN_LIMIT + CHECK_WINDOW chips serves both and
+    stops at row H + CHECK_WINDOW.  Raises CensusMismatch when a right part
     up to B is not its settlement, and ScanExhausted when there is no B up to
-    scan_limit or the rows run out before an H certifies.
+    SCAN_LIMIT or the rows run out before an H certifies.  The window and
+    the cap are module constants, read on each call; profile_for keeps the
+    first result per pair.
     """
     params.require_structured()
     seq = seq_for(params)
@@ -215,7 +206,7 @@ def compute_profile(
     rows: list[tuple] = []     # every row read so far; rows[n] is row n
     B = None
     start = None               # first n of the current run of certified steps
-    for row in oracle_rows(params, scan_limit + check_window):
+    for row in oracle_rows(params, SCAN_LIMIT + CHECK_WINDOW):
         n, left, right, f0, _ = row
         rows.append(row)
         if B is None:
@@ -224,9 +215,9 @@ def compute_profile(
                     f"final right part of n={n} is not xi_{f0} for ({params.a},{params.b})"
                 )
             if f0 <= last_dormant:
-                if n == scan_limit:
+                if n == SCAN_LIMIT:
                     raise ScanExhausted(
-                        f"no balanced n below {scan_limit} for ({params.a},{params.b})"
+                        f"no balanced n below {SCAN_LIMIT} for ({params.a},{params.b})"
                     )
                 continue
             B = n
@@ -234,12 +225,11 @@ def compute_profile(
             start = None
         if start is None and min(left) >= a:
             start = n
-        # A run starting past scan_limit cannot complete before the rows end.
-        if start is not None and n - start == check_window:
-            return PredictorProfile(B=B, H=start, verified_window=check_window,
-                                    rows=tuple(rows[: start + 1]))
+        # A run starting past SCAN_LIMIT cannot complete before the rows end.
+        if start is not None and n - start == CHECK_WINDOW:
+            return PredictorProfile(B=B, H=start, rows=tuple(rows[: start + 1]))
     raise ScanExhausted(
-        f"no certified H below {scan_limit} for ({params.a},{params.b})"
+        f"no certified H below {SCAN_LIMIT} for ({params.a},{params.b})"
     )
 
 

@@ -65,6 +65,13 @@ __all__ = [
 
 SIX_PAIRS = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5)]
 
+# Confluence checks every firing of the games with fewer chips than this.
+FULL_CHECK_BELOW = 48
+# Predictor checks the stabilized side values on rows B..B + VALUE_WINDOW.
+VALUE_WINDOW = 200
+# One-b checks the binary left-part trick on the 1-2 rows 4..TRICK_MAX.
+TRICK_MAX = 1000
+
 
 def coprime_pairs(b_max: int) -> list[tuple[int, int]]:
     from math import gcd
@@ -108,7 +115,7 @@ class SuiteReport:
 
 def _confluence_pair(args) -> tuple[int, list[str]]:
     """One parameter pair of the confluence battery (multiprocessing unit)."""
-    a, b, max_n, seeds, full_check_below, check_every = args
+    a, b, max_n, seeds, check_every = args
     p = GameParams(a, b)
     strategies: list[FiringStrategy] = [
         LEFTMOST,
@@ -119,7 +126,7 @@ def _confluence_pair(args) -> tuple[int, list[str]]:
     checks = 0
     failures: list[str] = []
     for n in range(max_n + 1):
-        cadence = 1 if n < full_check_below else check_every
+        cadence = 1 if n < FULL_CHECK_BELOW else check_every
         results = []
         for strat in strategies:
             checks += 1
@@ -160,7 +167,6 @@ def confluence_suite(
     max_n: int = 300,
     pairs: list[tuple[int, int]] | None = None,
     seeds: tuple[int, ...] = (1, 2, 3),
-    full_check_below: int = 48,
     check_every: int = 256,
     workers: int | None = None,
 ) -> SuiteReport:
@@ -169,15 +175,15 @@ def confluence_suite(
     for a = b says that M stays 0.
 
     States are re-verified exactly on every single firing for n below
-    ``full_check_below`` and at every ``check_every``-th firing (plus first
-    and last) beyond that.  Parameter pairs are independent, so they fan out
+    FULL_CHECK_BELOW and at every ``check_every``-th firing (plus first and
+    last) beyond that.  Parameter pairs are independent, so they fan out
     across processes; the aggregated report does not depend on worker order.
     """
     if max_n < 0:
         raise InvalidParams(f"max_n must be non-negative, got {max_n}")
     if check_every < 1:
         # stabilize reads a cadence of 0 as "unchecked", which would turn the
-        # conservation checks off for every n >= full_check_below.
+        # conservation checks off for every n >= FULL_CHECK_BELOW.
         raise InvalidParams(f"check_every must be at least 1, got {check_every}")
     if workers is not None and workers < 1:
         raise InvalidParams(f"workers must be at least 1, got {workers}")
@@ -185,7 +191,7 @@ def confluence_suite(
     if pairs is None:
         pairs = coprime_pairs(6)
     jobs = [
-        (a, b, max_n, tuple(seeds), full_check_below, check_every)
+        (a, b, max_n, tuple(seeds), check_every)
         for a, b in pairs
     ]
     if workers is None:
@@ -323,12 +329,12 @@ def _w(word: tuple[int, ...]) -> str:
 def predictor_suite(
     pairs: list[tuple[int, int]] | None = None,
     max_n: int = 2000,
-    value_window: int = 200,
 ) -> SuiteReport:
     """Fast path == oracle digit for digit and in the origin and origout
-    firing counts; stabilized side values; firing surplus plateau; mirror
-    symmetry; plus the two documented erratum notes (stabilized right value,
-    and the suffix phrasing of the index advance)."""
+    firing counts; stabilized side values on the rows B..B + VALUE_WINDOW;
+    firing surplus plateau; mirror symmetry; plus the two documented erratum
+    notes (stabilized right value, and the suffix phrasing of the index
+    advance)."""
     rep = SuiteReport("predictor")
     pairs = pairs if pairs is not None else list(SIX_PAIRS)
     for a, b in pairs:
@@ -350,7 +356,7 @@ def predictor_suite(
                 f"a={a} b={b} n={n}: firing counts not monotone",
             )
             prev_diff, prev_f0 = diff, f0
-            if prof.B <= n <= prof.B + value_window:
+            if prof.B <= n <= prof.B + VALUE_WINDOW:
                 rep.check(
                     eval_base(DigitWord.fraction(right), p) == ac
                     and eval_base(DigitWord(left, 0), p) == n - ac,
@@ -411,16 +417,16 @@ def _erratum_notes() -> list[str]:
     return notes
 
 
-def one_b_suite(max_n: int = 500, trick_max: int = 1000) -> SuiteReport:
+def one_b_suite(max_n: int = 500) -> SuiteReport:
     """1-b laws: settlement formula, digit-(b-1) count f0(n) - 1, binary
-    left-part trick, and the R(b) left-part law with its index offset pinned by
-    simulation; the refuted valuation-sum count is a note with its first
-    counterexample per b.
+    left-part trick up to TRICK_MAX, and the R(b) left-part law with its
+    index offset pinned by simulation; the refuted valuation-sum count is a
+    note with its first counterexample per b.
 
     One oracle pass per b serves every law, each row checked as it arrives:
-    (1, 2) runs to the largest of max_n, trick_max and 220 (the end of the
+    (1, 2) runs to the largest of max_n, TRICK_MAX and 220 (the end of the
     R(b) checks), (1, 3) to the larger of max_n and 220."""
-    if max_n < 0 or trick_max < 0:
+    if max_n < 0:
         raise InvalidParams("chip count must be non-negative")
     r_max = 220
     rep = SuiteReport("one-b")
@@ -433,7 +439,7 @@ def one_b_suite(max_n: int = 500, trick_max: int = 1000) -> SuiteReport:
                 f"b={b}: (b-1)_(k-1) b formula breaks at k={k}",
             )
     first_mismatches = []
-    for b, top in ((2, max(max_n, trick_max, r_max)), (3, max(max_n, r_max))):
+    for b, top in ((2, max(max_n, TRICK_MAX, r_max)), (3, max(max_n, r_max))):
         first = None
         for n, left, right, f0, _ in oracle_rows(GameParams(1, b), top):
             if b < n <= max_n:
@@ -450,7 +456,7 @@ def one_b_suite(max_n: int = 500, trick_max: int = 1000) -> SuiteReport:
                             f"b={b} n={n}: digit-(b-1) count is {true_count}, "
                             f"valuation sum gives {stated}"
                         )
-            if b == 2 and 4 <= n <= trick_max:
+            if b == 2 and 4 <= n <= TRICK_MAX:
                 rep.check(
                     left == binary_trick_left(n),
                     f"b=2 n={n}: binary left-part trick differs from simulation",

@@ -16,9 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .engine import GameParams
 from .errors import InvalidBase, ParseError
+
+if TYPE_CHECKING:
+    from .engine import GameParams
 
 __all__ = [
     "DigitWord",
@@ -51,14 +54,6 @@ class DigitWord:
     def __post_init__(self) -> None:
         if min(self.digits, default=0) < 0:
             raise ValueError("digits must be non-negative")
-
-    @classmethod
-    def integer(cls, digits) -> "DigitWord":
-        """Integer word anchored at position 0, leading zeros trimmed."""
-        ds = tuple(digits)
-        while len(ds) > 1 and ds[0] == 0:
-            ds = ds[1:]
-        return cls(ds if ds else (0,), 0)
 
     @classmethod
     def fraction(cls, digits) -> "DigitWord":
@@ -99,29 +94,36 @@ class DigitWord:
 EMPTY_WORD = DigitWord((), 0)
 
 
-def _require_base(params: GameParams) -> None:
-    if not params.is_structured():
-        raise InvalidBase(
-            f"base {params.b}/{params.a} needs coprime a < b"
-        )
-
-
 def to_base(n: int, params: GameParams) -> DigitWord:
-    """Base-b/a representation of a non-negative integer.
-
-    The last digit is n mod b; the remaining digits represent a*(n-d0)/b in
-    the same base.  All output digits lie in [0, b-1].
-    """
-    _require_base(params)
+    """Base-b/a representation of a non-negative integer: the numeral over
+    the digits [0, b), (0,) for 0."""
+    if not params.is_structured():
+        raise InvalidBase(f"base {params.b}/{params.a} needs coprime a < b")
     if n < 0:
         raise InvalidBase("only non-negative integers have finite words")
-    a, b = params.a, params.b
+    return DigitWord(numeral_digits(n, params.a, params.b, 0) or (0,), 0)
+
+
+def numeral_digits(value: int, a: int, b: int, low: int) -> tuple | None:
+    """The digits of the base-b/a numeral of ``value`` over the alphabet
+    [low, low + b), most significant first: () for 0, None when the value
+    has no such numeral.
+
+    Digits are peeled low to high (the rational base numeration of Akiyama,
+    Frougny and Sakarovitch, 2008): the low digit is the one congruent to the
+    value mod b, and peeling it leaves a*(value-d)/b.  Over [a, a+b) the
+    peel fails when a digit exceeds what is left.
+    """
+    if value < 0:
+        return None
     low_first = []
-    while n:
-        d = n % b
+    while value > 0:
+        d = low + (value - low) % b
+        if d > value:
+            return None
         low_first.append(d)
-        n = a * (n - d) // b
-    return DigitWord.integer(reversed(low_first)) if low_first else DigitWord((0,), 0)
+        value = a * (value - d) // b
+    return tuple(reversed(low_first))
 
 
 # Words up to this many digits are evaluated by one Horner pass; longer ones
@@ -141,9 +143,9 @@ def eval_base(w: DigitWord, params: GameParams) -> Fraction:
     a, b = params.a // d, params.b // d
     if a == b:
         return Fraction(sum(w.digits))
-    # num = sum over positions of d_p * b^(p-radix) * a^(hi-p), an integer;
-    # the true value is then num * b^radix / a^hi.
-    val = Fraction(_numerator(w.digits, 0, len(w.digits), a, b, {}))
+    # numerator gives sum over positions of d_p * b^(p-radix) * a^(hi-p);
+    # the true value is then that times b^radix / a^hi.
+    val = Fraction(numerator(w.digits, a, b))
     if w.radix >= 0:
         val *= b**w.radix
     else:
@@ -155,34 +157,25 @@ def eval_base(w: DigitWord, params: GameParams) -> Fraction:
     return val
 
 
-def _numerator(ds: tuple[int, ...], i: int, j: int, a: int, b: int,
-               pows: dict[tuple[int, int], int]) -> int:
-    """sum(ds[i+t] * b^(j-i-1-t) * a^t) over the digits ds[i:j], most
-    significant first.
+def numerator(ds, a: int, b: int) -> int:
+    """sum(ds[t] * b^(len(ds)-1-t) * a^t) over the digits ds, most
+    significant first: their value at b/a cleared of denominators.
 
-    A product tree: with the first half worth ``hi`` and the second ``lo``,
-    the whole is hi * b^len(second) + lo * a^len(first).  Halving keeps at
-    most two lengths per level, which ``pows`` caches.  Leaves are one Horner
-    pass: each later digit multiplies the sum by b and carries one more a.
+    Up to _LEAF_DIGITS digits, one Horner pass: each later digit multiplies
+    the sum by b and carries one more a.  Longer runs are halved: with the
+    first half worth ``hi`` and the second ``lo``, the whole is
+    hi * b^len(second) + lo * a^len(first).
     """
-    if j - i <= _LEAF_DIGITS:
-        num = 0
-        apow = 1
-        for d in ds[i:j]:
-            num = num * b + d * apow
-            apow *= a
-        return num
-    m = (i + j) // 2
-    hi = _numerator(ds, i, m, a, b, pows)
-    lo = _numerator(ds, m, j, a, b, pows)
-    return hi * _power(pows, b, j - m) + lo * _power(pows, a, m - i)
-
-
-def _power(pows: dict[tuple[int, int], int], base: int, e: int) -> int:
-    p = pows.get((base, e))
-    if p is None:
-        p = pows[base, e] = base**e
-    return p
+    if len(ds) > _LEAF_DIGITS:
+        m = len(ds) // 2
+        return (numerator(ds[:m], a, b) * b ** (len(ds) - m)
+                + numerator(ds[m:], a, b) * a**m)
+    num = 0
+    apow = 1
+    for d in ds:
+        num = num * b + d * apow
+        apow *= a
+    return num
 
 
 # ---------------------------------------------------------------------------

@@ -329,12 +329,18 @@ def test_final_digits_above_255():
     (("final", "5", "-a", "229", "-b", "236"), "no certified H below 20000 for (229,236)"),
     (("final", "5", "-a", "458", "-b", "472"), "no certified H below 20000 for (229,236)"),
     (("profile", "-a", "230", "-b", "237"), "no certified H below 20000 for (230,237)"),
+    (("verify", "confluence", "--seed", "-1"), f"--seed must lie in 0..{2**64 - 3}, got -1"),
+    (("verify", "all", "--seed", str(2**64 - 2)),
+     f"--seed must lie in 0..{2**64 - 3}, got {2**64 - 2}"),
+    (("verify", "confluence", "--seed", str(2**64 - 1)),
+     f"--seed must lie in 0..{2**64 - 3}, got {2**64 - 1}"),
 ])
 def test_out_of_range_inputs_exit_two(argv, message, capsys):
     # A cadence of 0 used to turn the confluence suite's conservation checks
-    # off past full_check_below and still print PASS; a negative --max-n or
+    # off past FULL_CHECK_BELOW and still print PASS; a negative --max-n or
     # -k printed an empty result with exit 0.  A pair whose B lies below the
-    # scan cap but whose H + 50 does not used to exit 1.
+    # scan cap but whose H + 50 does not used to exit 1.  A --seed whose
+    # seed + 2 passes 64 bits was refused only once the suite had started.
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -385,6 +391,12 @@ def test_verify_accepts_workers_and_suite_options():
     code, out = run_cli(
         "verify", "confluence", "-a", "1", "-b", "2", "--max-n", "30",
         "--seed", "4", "--check-every", "8", "--workers", "1",
+    )
+    assert code == 0 and out.endswith("verify: PASS\n")
+    # The largest seed whose seed + 2 still fits in 64 bits.
+    code, out = run_cli(
+        "verify", "confluence", "-a", "1", "-b", "2", "--max-n", "30",
+        "--seed", str(2**64 - 3), "--workers", "1",
     )
     assert code == 0 and out.endswith("verify: PASS\n")
 

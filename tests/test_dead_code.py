@@ -145,6 +145,62 @@ def test_every_field_is_read():
     assert not unread, unread
 
 
+def _defaulted(node: ast.FunctionDef, is_member: bool):
+    """(name, position) for every parameter of the function that has a
+    default; position counts the call's positional arguments, so it skips
+    the ``self`` or ``cls`` of a method, and is None for a keyword-only one."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if is_member and not any(
+        isinstance(dec, ast.Name) and dec.id == "staticmethod" for dec in node.decorator_list
+    ) else 0
+    for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                            len(positional) - len(args.defaults)):
+        yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call passes the parameter: by keyword, or by position,
+    a ``*args`` argument standing for every position."""
+    if any(kw.arg == name for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Each parameter with a default, of a package function or method, is
+    passed by some call in the package or the benchmark, or named by a
+    string constant there (as the verify options are).  One that only tests
+    set is an option no user has: a constant says the same with less."""
+    calls: dict[str, list[ast.Call]] = {}
+    strings = set()
+    for path in _sources(("src", "perfbench")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+    idle = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, is_member in _definitions(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                continue
+            for name, position in _defaulted(node, is_member):
+                if name not in strings and not any(
+                        _passes(call, name, position) for call in calls.get(node.name, [])):
+                    idle.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}({name})")
+    assert not idle, idle
+
+
 # __main__ is left out: importing it runs the command line.
 MODULES = sorted("chipfire" if path.stem == "__init__" else f"chipfire.{path.stem}"
                  for path in PACKAGE.glob("*.py") if path.stem != "__main__")

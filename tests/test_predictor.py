@@ -51,7 +51,6 @@ def test_final_state_golden_values():
 def test_two_three_profile():
     prof = profile_for(GameParams(2, 3))
     assert prof.B == 13 and prof.H == 15
-    assert prof.verified_window >= 50
     n, left, right, f0, _ = prof.rows[prof.H]
     assert n == prof.H and len(prof.rows) == prof.H + 1
     assert all(d >= 2 for d in left)
@@ -487,7 +486,7 @@ def _compute_profile_two_pass(params, check_window=50, scan_limit=20000):
                     (n, lefts[n], words[n].fraction_digits(), f0s[n], f1s[n])
                     for n in range(H + 1)
                 )
-                return PredictorProfile(B=B, H=H, verified_window=check_window, rows=rows)
+                return PredictorProfile(B=B, H=H, rows=rows)
         if n_sim >= scan_limit + check_window:
             raise ScanExhausted(f"no certified H below {scan_limit}")
         n_sim *= 4
@@ -498,9 +497,12 @@ COPRIME_UP_TO_9 = [(a, b) for b in range(2, 10) for a in range(1, b) if gcd(a, b
 
 @pytest.mark.parametrize("a,b", COPRIME_UP_TO_9 + [(20, 21)])
 @pytest.mark.parametrize("window", [1, 5, 50])
-def test_one_pass_profile_equals_two_pass(a, b, window):
+def test_one_pass_profile_equals_two_pass(monkeypatch, a, b, window):
+    import chipfire.predictor as predictor
+
     p = GameParams(a, b)
-    assert compute_profile(p, window) == _compute_profile_two_pass(p, window)
+    monkeypatch.setattr(predictor, "CHECK_WINDOW", window)
+    assert compute_profile(p) == _compute_profile_two_pass(p, window)
 
 
 @pytest.mark.parametrize("a,b,window", [(2, 3, 5), (3, 4, 50), (20, 21, 50)])
@@ -510,7 +512,8 @@ def test_failed_step_restarts_the_window(monkeypatch, a, b, window):
 
     p = GameParams(a, b)
     ac = a * p.c
-    B = compute_profile(p, window).B
+    monkeypatch.setattr(predictor, "CHECK_WINDOW", window)
+    B = compute_profile(p).B
     failing = {B + 2 - ac, B + window - ac}
     real = predictor.left_regular_word
 
@@ -518,7 +521,7 @@ def test_failed_step_restarts_the_window(monkeypatch, a, b, window):
         return None if value in failing else real(value, params)
 
     monkeypatch.setattr(predictor, "left_regular_word", flaky)
-    prof = compute_profile(p, window)
+    prof = compute_profile(p)
     assert prof.H > B + window
     assert prof == _compute_profile_two_pass(p, window)
 
@@ -526,17 +529,20 @@ def test_failed_step_restarts_the_window(monkeypatch, a, b, window):
 @pytest.mark.parametrize(
     "scan_limit,outcome", [(1000, ScanExhausted), (1060, ScanExhausted), (1071, 1071)]
 )
-def test_profile_scan_limit_outcomes(scan_limit, outcome):
+def test_profile_scan_limit_outcomes(monkeypatch, scan_limit, outcome):
     """(20, 21) has B = 1051 and H = 1071: a limit below B finds no B, one
     below H certifies nothing, and a limit of exactly H certifies it."""
+    import chipfire.predictor as predictor
+
     p = GameParams(20, 21)
+    monkeypatch.setattr(predictor, "SCAN_LIMIT", scan_limit)
     if isinstance(outcome, int):
-        prof = compute_profile(p, 50, scan_limit)
+        prof = compute_profile(p)
         assert (prof.B, prof.H) == (1051, outcome)
         assert prof == _compute_profile_two_pass(p, 50, scan_limit)
     else:
         with pytest.raises(outcome):
-            compute_profile(p, 50, scan_limit)
+            compute_profile(p)
         with pytest.raises(outcome):
             _compute_profile_two_pass(p, 50, scan_limit)
 
@@ -557,7 +563,8 @@ def test_certification_reads_rows_up_to_H_plus_window(monkeypatch, a, b, window)
             yield row
 
     monkeypatch.setattr(predictor, "oracle_rows", counting)
-    prof = compute_profile(GameParams(a, b), window)
+    monkeypatch.setattr(predictor, "CHECK_WINDOW", window)
+    prof = compute_profile(GameParams(a, b))
     assert len(calls) == 1
     assert read == list(range(prof.H + window + 1))
 

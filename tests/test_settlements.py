@@ -197,9 +197,12 @@ def test_balanced_B_values():
     assert profile_for(GameParams(2, 5)).B == 7
 
 
-def test_balanced_B_scan_exhausted():
+def test_balanced_B_scan_exhausted(monkeypatch):
+    import chipfire.predictor as predictor
+
+    monkeypatch.setattr(predictor, "SCAN_LIMIT", 5)
     with pytest.raises(ScanExhausted):
-        compute_profile(GameParams(2, 3), scan_limit=5)
+        compute_profile(GameParams(2, 3))
 
 
 def test_balanced_B_is_minimal():

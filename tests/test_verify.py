@@ -12,10 +12,10 @@ def test_coprime_pairs():
     assert len(verify.coprime_pairs(6)) == 11
 
 
-def test_confluence_small_grid_single_worker():
+def test_confluence_small_grid_single_worker(monkeypatch):
+    monkeypatch.setattr(verify, "FULL_CHECK_BELOW", 20)
     rep = verify.confluence_suite(
-        max_n=60, pairs=[(1, 2), (2, 3)], seeds=(5,), workers=1,
-        full_check_below=20, check_every=64,
+        max_n=60, pairs=[(1, 2), (2, 3)], seeds=(5,), workers=1, check_every=64,
     )
     assert rep.ok and rep.checks > 0
     assert rep.lines()[0].startswith("suite confluence:")
@@ -24,7 +24,7 @@ def test_confluence_small_grid_single_worker():
 @pytest.mark.parametrize("kwargs", [{"check_every": 0}, {"check_every": -1}, {"max_n": -3}])
 def test_confluence_refuses_unchecked_cadence_and_negative_max_n(kwargs):
     # A cadence of 0 would make stabilize skip every conservation check for
-    # n >= full_check_below, and a negative max_n would check nothing.
+    # n >= FULL_CHECK_BELOW, and a negative max_n would check nothing.
     with pytest.raises(InvalidParams):
         verify.confluence_suite(pairs=[(2, 3)], workers=1, **{"max_n": 10, **kwargs})
 
@@ -72,8 +72,9 @@ def test_predictor_suite_compares_the_firing_counts(monkeypatch):
     assert f"a=2 b=3 n={H + 1}: fast path differs from oracle" in rep.failures
 
 
-def test_predictor_suite_scoped():
-    rep = verify.predictor_suite(pairs=[(2, 3), (1, 2)], max_n=200, value_window=50)
+def test_predictor_suite_scoped(monkeypatch):
+    monkeypatch.setattr(verify, "VALUE_WINDOW", 50)
+    rep = verify.predictor_suite(pairs=[(2, 3), (1, 2)], max_n=200)
     assert rep.ok
     joined = "\n".join(rep.notes)
     assert "n=13" in joined          # stabilized right value counterexample
@@ -81,10 +82,11 @@ def test_predictor_suite_scoped():
     assert "triplets" in joined      # grouping boundary
 
 
-def test_one_b_suite_documents_count_mismatch():
+def test_one_b_suite_documents_count_mismatch(monkeypatch):
     """The refuted valuation sum is a note with its first counterexample per
     b; the true count f0(n) - 1 is what the suite checks."""
-    rep = verify.one_b_suite(max_n=40, trick_max=60)
+    monkeypatch.setattr(verify, "TRICK_MAX", 60)
+    rep = verify.one_b_suite(max_n=40)
     assert rep.ok and rep.checks > 0
     (note,) = [n for n in rep.notes if "valuation-sum" in n]
     assert "the true count is f0(n) - 1" in note
@@ -98,8 +100,11 @@ def test_one_b_suite_documents_count_mismatch():
 ])
 def test_one_b_suite_plays_each_game_once(monkeypatch, kwargs, passes):
     """One oracle pass per b serves the count, binary-trick and R(b) checks:
-    (1, 2) to the largest of max_n, trick_max and 220, (1, 3) to the larger
-    of max_n and 220."""
+    (1, 2) to the largest of max_n, TRICK_MAX and 220, (1, 3) to the larger
+    of max_n and 220.  A "trick_max" entry sets TRICK_MAX."""
+    kwargs = dict(kwargs)
+    if "trick_max" in kwargs:
+        monkeypatch.setattr(verify, "TRICK_MAX", kwargs.pop("trick_max"))
     opened = []
     real = verify.oracle_rows
 
@@ -111,13 +116,6 @@ def test_one_b_suite_plays_each_game_once(monkeypatch, kwargs, passes):
     monkeypatch.setattr(verify, "oracle_rows", counting)
     assert verify.one_b_suite(**kwargs).ok
     assert opened == passes
-
-
-def test_one_b_suite_refuses_negative_trick_max():
-    # The binary-trick checks read the (1, 2) pass, which runs to at least
-    # 220, so a negative trick_max would check nothing and pass unnoticed.
-    with pytest.raises(InvalidParams, match="^chip count must be non-negative$"):
-        verify.one_b_suite(trick_max=-1)
 
 
 # The reports of the suites that read the incremental oracle, pinned so that
@@ -206,7 +204,8 @@ def test_confluence_caps_the_pool_at_one_process_per_pair(workers, monkeypatch):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: 64)
-    kwargs = dict(max_n=12, pairs=[(1, 2), (2, 3)], seeds=(5,), full_check_below=4)
+    monkeypatch.setattr(verify, "FULL_CHECK_BELOW", 4)
+    kwargs = dict(max_n=12, pairs=[(1, 2), (2, 3)], seeds=(5,))
     rep = verify.confluence_suite(workers=workers, **kwargs)
     serial = verify.confluence_suite(workers=1, **kwargs)
     assert _RecordingPool.sizes == [2]
