@@ -322,6 +322,8 @@ def _run_parallel(bb: _Buffer, T: int, a: int, b: int, checker: _Checker | None)
         firable = [i for i in range(lo, hi + 1) if buf[i] >= T]
         if not firable:
             break
+        lo = min(lo, firable[0] - 1)
+        hi = max(hi, firable[-1] + 1)
         for i in firable:
             buf[i] -= T
             buf[i - 1] += a
@@ -331,13 +333,8 @@ def _run_parallel(bb: _Buffer, T: int, a: int, b: int, checker: _Checker | None)
                 due -= 1
                 if not due:
                     due = checker.every
-                    bb.lo = min(lo, firable[0] - 1)
-                    bb.hi = max(hi, firable[-1] + 1)
+                    bb.lo, bb.hi = lo, hi
                     checker.check(bb)
-        if firable[0] - 1 < lo:
-            lo = firable[0] - 1
-        if firable[-1] + 1 > hi:
-            hi = firable[-1] + 1
     bb.lo, bb.hi = lo, hi
 
 

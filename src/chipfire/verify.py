@@ -3,13 +3,16 @@
 Each suite returns a SuiteReport with hard failures (claims this package is
 built on) separated from notes (documented discrepancies in circulated
 formulas, reported with concrete counterexamples but never failed on).
-Only the confluence suite runs in more than one process: its parameter
-pairs are independent, so it fans them out across a process pool.  A
-report prints its failures sorted and its notes in the order they were found.
+Every suite refuses a bad pair or seed before any game is played or any
+process starts.  Only the confluence suite runs in more than one process:
+its parameter pairs are independent, so it fans them out across a process
+pool.  A report prints its failures sorted and its notes in the order they
+were found.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -113,54 +116,53 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _confluence_pair(args) -> tuple[int, list[str]]:
-    """One parameter pair of the confluence battery (multiprocessing unit)."""
-    a, b, max_n, seeds, check_every = args
-    p = GameParams(a, b)
-    strategies: list[FiringStrategy] = [
-        LEFTMOST,
-        RIGHTMOST,
-        PARALLEL_ROUNDS,
-        *(FiringStrategy.random(s) for s in seeds),
-    ]
-    checks = 0
-    failures: list[str] = []
+def _checked_games(rep, p, max_n, schedules, check_every, verdict=None):
+    """Play n chips at the origin under each schedule for n = 0..max_n, the
+    state re-verified on every firing below FULL_CHECK_BELOW chips and every
+    ``check_every``-th beyond, and yield n with the (strategy, final, log)
+    of each game that finished.  Each game is one check of ``rep``: it fails
+    if the game raises, or with the message ``verdict(n, final)`` gives."""
     for n in range(max_n + 1):
         cadence = 1 if n < FULL_CHECK_BELOW else check_every
-        results = []
-        for strat in strategies:
-            checks += 1
+        games = []
+        for strat in schedules:
             try:
                 final, log = stabilize(new_state(n, p), strat, check_every=cadence)
             except ChipFiringError as exc:
-                failures.append(f"a={a} b={b} n={n} {strat.kind}: {exc}")
+                rep.check(False, f"a={p.a} b={p.b} n={n} {strat.kind}: {exc}")
                 continue
-            results.append((strat, final, log))
-        if not results:
+            failure = verdict(n, final) if verdict else None
+            rep.check(failure is None, failure)
+            games.append((strat, final, log))
+        yield n, games
+
+
+def _confluence_pair(p, max_n, schedules, check_every) -> SuiteReport:
+    """One parameter pair of the confluence battery (multiprocessing unit)."""
+    rep = SuiteReport("confluence")
+    a, b = p.a, p.b
+    for n, games in _checked_games(rep, p, max_n, schedules, check_every):
+        if not games:
             continue
-        _, final0, log0 = results[0]
-        for strat, final, log in results[1:]:
-            checks += 2
-            if final != final0:
-                failures.append(
-                    f"a={a} b={b} n={n}: {strat.kind} final state differs "
-                    f"from leftmost"
-                )
-            if log != log0:
-                failures.append(
-                    f"a={a} b={b} n={n}: {strat.kind} firing counts differ "
-                    f"from leftmost"
-                )
+        _, final0, log0 = games[0]
+        for strat, final, log in games[1:]:
+            rep.check(
+                final == final0,
+                f"a={a} b={b} n={n}: {strat.kind} final state differs from leftmost",
+            )
+            rep.check(
+                log == log0,
+                f"a={a} b={b} n={n}: {strat.kind} firing counts differ from leftmost",
+            )
         # Each firing adds b - a to M; checked as a product so that a = b,
         # where M stays 0, needs no division.
-        checks += 1
         m = analysis.weighted_sum(final0)
-        if m != (b - a) * log0.total:
-            failures.append(
-                f"a={a} b={b} n={n}: M/(b-a) != logged total: M={m}, "
-                f"b-a={b - a}, total={log0.total}"
-            )
-    return checks, failures
+        rep.check(
+            m == (b - a) * log0.total,
+            f"a={a} b={b} n={n}: M/(b-a) != logged total: M={m}, "
+            f"b-a={b - a}, total={log0.total}",
+        )
+    return rep
 
 
 def confluence_suite(
@@ -176,8 +178,10 @@ def confluence_suite(
 
     States are re-verified exactly on every single firing for n below
     FULL_CHECK_BELOW and at every ``check_every``-th firing (plus first and
-    last) beyond that.  Parameter pairs are independent, so they fan out
-    across processes; the aggregated report does not depend on worker order.
+    last) beyond that.  Every pair and seed is refused before any game is
+    played or any process starts.  Parameter pairs are independent, so they
+    fan out across processes; the merged report does not depend on worker
+    order.
     """
     if max_n < 0:
         raise InvalidParams(f"max_n must be non-negative, got {max_n}")
@@ -187,29 +191,30 @@ def confluence_suite(
         raise InvalidParams(f"check_every must be at least 1, got {check_every}")
     if workers is not None and workers < 1:
         raise InvalidParams(f"workers must be at least 1, got {workers}")
-    rep = SuiteReport("confluence")
     if pairs is None:
         pairs = coprime_pairs(6)
-    jobs = [
-        (a, b, max_n, tuple(seeds), check_every)
-        for a, b in pairs
-    ]
+    params = [GameParams(a, b) for a, b in pairs]
+    schedules = (LEFTMOST, RIGHTMOST, PARALLEL_ROUNDS, *map(FiringStrategy.random, seeds))
+    play = functools.partial(
+        _confluence_pair, max_n=max_n, schedules=schedules, check_every=check_every,
+    )
     if workers is None:
         import os
 
         workers = os.cpu_count() or 1
     # One process per pair at most: more would only sit idle.
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(params))
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_confluence_pair, jobs)
+            reports = pool.map(play, params)
     else:
-        results = [_confluence_pair(j) for j in jobs]
-    for checks, failures in results:
-        rep.checks += checks
-        rep.failures.extend(failures)
+        reports = map(play, params)
+    rep = SuiteReport("confluence")
+    for pair_rep in reports:
+        rep.checks += pair_rep.checks
+        rep.failures.extend(pair_rep.failures)
     rep.failures.sort()
     return rep
 
@@ -224,21 +229,16 @@ def invariants_suite(
     counts, row by row."""
     rep = SuiteReport("invariants")
     pairs = pairs if pairs is not None else [(1, 2), (2, 3)]
-    for a, b in pairs:
-        p = GameParams(a, b)
+    for p in [GameParams(a, b) for a, b in pairs]:
+        a, b = p.a, p.b
         boa = Fraction(b, a)
-        for n in range(max_n + 1):
-            for strat in (LEFTMOST, PARALLEL_ROUNDS):
-                try:
-                    final, _ = stabilize(new_state(n, p), strat, check_every=1)
-                except ChipFiringError as exc:
-                    rep.check(False, f"a={a} b={b} n={n} {strat.kind}: {exc}")
-                    continue
-                rep.check(
-                    analysis.state_poly_eval(final, 1) == n
-                    and analysis.state_poly_eval(final, boa) == n,
-                    f"a={a} b={b} n={n}: rational evaluator disagrees",
-                )
+
+        def evaluator(n, final):
+            if analysis.state_poly_eval(final, 1) != n or analysis.state_poly_eval(final, boa) != n:
+                return f"a={a} b={b} n={n}: rational evaluator disagrees"
+
+        for _ in _checked_games(rep, p, max_n, (LEFTMOST, PARALLEL_ROUNDS), 1, evaluator):
+            pass
         for n, left, right, f0, f1 in oracle_rows(p, max_n):
             try:
                 report = analysis.side_values(left, right, f0, f1, p)
@@ -252,6 +252,13 @@ def invariants_suite(
     return rep
 
 
+def _structured(a: int, b: int) -> GameParams:
+    """The pair as GameParams, refused unless coprime with a < b."""
+    p = GameParams(a, b)
+    p.require_structured()
+    return p
+
+
 def settlements_suite(pairs: list[tuple[int, int]] | None = None) -> SuiteReport:
     """Transition soundness against the engine, closed-form agreement,
     dormancy census, digit-range inequalities, and index-formula notes."""
@@ -260,8 +267,8 @@ def settlements_suite(pairs: list[tuple[int, int]] | None = None) -> SuiteReport
         pairs = coprime_pairs(7)
     drift_anchor: list[str] = []
     drift_dormant: list[str] = []
-    for a, b in pairs:
-        p = GameParams(a, b)
+    for p in [_structured(a, b) for a, b in pairs]:
+        a, b = p.a, p.b
         seq = seq_for(p)
         # transition soundness vs. settle_right
         cur: tuple[int, ...] = ()
@@ -336,9 +343,9 @@ def predictor_suite(
     notes (stabilized right value, and the suffix phrasing of the index
     advance)."""
     rep = SuiteReport("predictor")
-    pairs = pairs if pairs is not None else list(SIX_PAIRS)
-    for a, b in pairs:
-        p = GameParams(a, b)
+    pairs = pairs if pairs is not None else SIX_PAIRS
+    for p in [_structured(a, b) for a, b in pairs]:
+        a, b = p.a, p.b
         prof = profile_for(p)
         ac = a * p.c
         prev_diff = 0

@@ -145,16 +145,8 @@ def eval_base(w: DigitWord, params: GameParams) -> Fraction:
         return Fraction(sum(w.digits))
     # numerator gives sum over positions of d_p * b^(p-radix) * a^(hi-p);
     # the true value is then that times b^radix / a^hi.
-    val = Fraction(numerator(w.digits, a, b))
-    if w.radix >= 0:
-        val *= b**w.radix
-    else:
-        val /= b ** (-w.radix)
-    if w.hi >= 0:
-        val /= a**w.hi
-    else:
-        val *= a ** (-w.hi)
-    return val
+    return Fraction(numerator(w.digits, a, b) * b**max(w.radix, 0) * a**max(-w.hi, 0),
+                    b**max(-w.radix, 0) * a**max(w.hi, 0))
 
 
 def numerator(ds, a: int, b: int) -> int:

@@ -1,5 +1,7 @@
 """Suite-level behavior of the verification harness."""
 
+import re
+
 import pytest
 
 from chipfire import verify
@@ -222,3 +224,45 @@ def test_confluence_refuses_workers_below_one(workers, monkeypatch):
     with pytest.raises(InvalidParams, match=f"workers must be at least 1, got {workers}"):
         verify.confluence_suite(max_n=5, pairs=[(2, 3)], workers=workers)
     assert _RecordingPool.sizes == []
+
+
+# Each suite's refusal of a bad later pair or seed, with the message the
+# first game would have met it with; the suite plays no game before it.
+@pytest.mark.parametrize("suite, kwargs, message", [
+    ("confluence", {"pairs": [(2, 3), (0, 1)], "max_n": 3, "workers": 1},
+     "need a >= 1 and b >= 1, got (0, 1)"),
+    ("invariants", {"pairs": [(2, 3), (0, 1)], "max_n": 3},
+     "need a >= 1 and b >= 1, got (0, 1)"),
+    ("settlements", {"pairs": [(2, 3), (3, 2)]},
+     "(3, 2) must be coprime with a < b for this operation"),
+    ("predictor", {"pairs": [(2, 3), (3, 2)], "max_n": 3},
+     "(3, 2) must be coprime with a < b for this operation"),
+    ("confluence", {"seeds": (2**64,), "workers": 2, "pairs": [(2, 3), (3, 4)], "max_n": 3},
+     "random strategy needs a 64-bit unsigned seed"),
+], ids=["confluence-pair", "invariants-pair", "settlements-pair", "predictor-pair",
+        "confluence-seed"])
+def test_suites_refuse_bad_input_before_the_first_game(suite, kwargs, message, monkeypatch):
+    import multiprocessing
+
+    calls = []
+    for name in ("stabilize", "oracle_rows", "settle_right", "seq_for", "profile_for"):
+        def recording(*args, _name=name, _real=getattr(verify, name), **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(verify, name, recording)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        verify.SUITES[suite](**kwargs)
+    assert calls == []
+    assert _RecordingPool.sizes == []
+
+
+def test_confluence_through_a_real_pool_matches_one_worker():
+    # _RecordingPool maps in this process; this run pickles each pair's
+    # GameParams and schedules into real worker processes and back.
+    kwargs = dict(max_n=12, pairs=[(1, 2), (2, 3)], seeds=(5,))
+    pooled = verify.confluence_suite(workers=2, **kwargs)
+    serial = verify.confluence_suite(workers=1, **kwargs)
+    assert pooled.checks > 0
+    assert (pooled.checks, pooled.failures) == (serial.checks, serial.failures)
