@@ -185,6 +185,8 @@ def cmd_base(args, out) -> int:
     params = GameParams(args.a, args.b)
     fmt = _fmt(args)
     if args.eval is not None:
+        if args.n is not None:
+            raise InvalidParams("base takes N or --eval WORD, not both")
         w = string_to_word(args.eval)
         print(eval_base(w, params), file=out)
         return 0

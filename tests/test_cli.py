@@ -296,10 +296,14 @@ def test_final_text_beyond_memory_exits_two(argv, digits, capsys):
     )
 
 
-def test_final_refuses_n_with_range(capsys):
-    code, out = run_cli("final", "5", "--range", "0", "3", "-a", "2", "-b", "3")
+@pytest.mark.parametrize("argv, message", [
+    (("final", "5", "--range", "0", "3"), "final takes N or --range, not both"),
+    (("base", "10", "--eval", "12"), "base takes N or --eval WORD, not both"),
+], ids=["final", "base"])
+def test_final_refuses_n_with_range(capsys, argv, message):
+    code, out = run_cli(*argv, "-a", "2", "-b", "3")
     assert code == 2 and out == ""
-    assert capsys.readouterr().err == "error: final takes N or --range, not both\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_final_digits_above_255():

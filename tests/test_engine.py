@@ -1,5 +1,6 @@
 """Core engine: firing, stabilization, schedules, conservation."""
 
+import re
 from math import gcd
 
 import pytest
@@ -329,13 +330,30 @@ def _line_games(draw):
 @example(game=(1, 1, 1))
 @example(game=(1, 1, 2))
 @example(game=(1, 1, 3))
-# The line kernel recomputes its firable hull every 16 rounds.  (2, 3) at
-# n = 24 stops after exactly 16 rounds, at n = 77 five rounds into its
-# seventh batch (101 rounds), and at n = 300 one round after a recomputation
-# (609 rounds).
+# The line kernel keeps the even and the odd cells in two halves, fires one
+# half a round, the origin's in round 0, and recomputes its firable hull
+# every 32 rounds.  Cell i holds vertex i - n - 1, so the origin lies in the
+# first half for odd n and in the second for even n, and round r fires the
+# vertices of the parity of r.  (2, 3) stops at n = 24 halfway through its
+# first batch (16 rounds), on vertex 5 (odd); at n = 77 five rounds into its
+# fourth batch (101 rounds), on vertex 24 (even); at n = 86 and 103 on the
+# last round of a batch (128 and 160 rounds), on vertices 31 and 37 (odd);
+# and at n = 99 and 300 one round after a recomputation (161 and 609
+# rounds), on vertices 38 and 134 (even).  (1, 2) and (2, 1) skip the
+# product by their factor of one: at n = 56 and 57 they stop on the last
+# round of a batch (128 rounds), on vertex 47 or -47 (odd), and at n = 58
+# and 59 one round after a recomputation (129 rounds), on vertex 48 or -48
+# (even).
 @example(game=(2, 3, 24))
 @example(game=(2, 3, 77))
+@example(game=(2, 3, 86))
+@example(game=(2, 3, 99))
+@example(game=(2, 3, 103))
 @example(game=(2, 3, 300))
+@example(game=(1, 2, 56))
+@example(game=(1, 2, 59))
+@example(game=(2, 1, 57))
+@example(game=(2, 1, 58))
 @example(game=(2, 3, 0))
 @example(game=(2, 3, 1234))
 def test_stabilize_line_matches_engine(game):
@@ -348,6 +366,27 @@ def test_stabilize_line_other_params():
     for a, b in [(1, 2), (3, 4), (5, 7), (2, 2), (4, 6)]:
         p = GameParams(a, b)
         assert stabilize_line(500, p) == stabilize(new_state(500, p)), (a, b)
+
+
+@pytest.mark.parametrize("extra, message", [
+    (1, "line stabilizer lost chips or stopped early at n=9"),
+    (5, "support escaped the [-n-1, n+1] window"),
+], ids=["extra-chip", "escaped-pile"])
+def test_line_kernel_checks_catch_a_corrupted_buffer(extra, message, monkeypatch):
+    """The line kernel's first cell holds vertex -n-1, outside the vertices
+    -n..n it fires.  One extra chip there is never fired and ends in the
+    final state; a pile of T = 5 there is firable, and the hull recomputation
+    after the first batch, which scans one cell past the clamp, finds it."""
+    real = engine._cells
+
+    def seeded(*args):
+        chips, fires = real(*args)
+        chips[0] += extra
+        return chips, fires
+
+    monkeypatch.setattr(engine, "_cells", seeded)
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        stabilize_line(9, GameParams(2, 3))
 
 
 # One pair per dispatch branch (a = b, gcd > 1, mirror, coprime a < b), as in
