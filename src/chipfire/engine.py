@@ -505,8 +505,9 @@ def oracle_rows(params: GameParams, n_max: int):
 # A recomputation scans and slices both halves, which costs about as much as
 # a round of a small game, and a round fires over the hull widened by up to
 # _HULL_EVERY - 1 vertices a side, half of them in the half it fires.  Against
-# 16, 32 saved about 5% on games of n = 300 to 800 and 7-10% at n = 10^5, at
-# the cost of up to 31 idle rounds at the end of a game.
+# 16, 32 saved about 5% on games of n = 300 to 800 and 7-10% at n = 10^5.  A
+# game that ends before it is walked may end with up to 31 idle rounds; one
+# that is walked ends on its last firing.
 _HULL_EVERY = 32
 
 
@@ -535,6 +536,11 @@ def stabilize_line(n: int, params: GameParams, *,
     therefore fire over the hull widened by _HULL_EVERY - 1 vertices a side,
     where every cell outside the true hull fires zero times.  A round with
     nothing firable is a no-op.
+
+    Once a recomputation finds every cell of the half about to fire below 2T
+    and none of the other half firable, no cell fires more than once a turn
+    from then on, and ``_walk_line`` finishes the game by updating only the
+    cells at the edges of the runs that fire, two a round for one run.
     """
     import numpy as np
 
@@ -558,19 +564,31 @@ def stabilize_line(n: int, params: GameParams, *,
     lo = hi = off
     widen = _HULL_EVERY - 1
     h = off & 1                    # the half the next round fires
+    rounds = None
     while True:
-        ends = []
+        ends, calm = [], True
         for g, (s, _) in enumerate(halves):
             # The cells lo-1..hi+1 of half g are its indices j0..j1-1.
             j0, j1 = (lo - g) >> 1, ((hi + 1 - g) >> 1) + 1
-            firable = (s[j0:j1] >= T).nonzero()[0]
+            scanned = s[j0:j1]
+            firable = (scanned >= T).nonzero()[0]
             if firable.size:
                 ends += (2 * (j0 + int(firable[0])) + g, 2 * (j0 + int(firable[-1])) + g)
+                calm = calm and g == h and int(scanned.max()) < 2 * T
         if not ends:
             break
         first, last = min(ends), max(ends)
         if not (first >= first_ok and last <= last_ok):
             raise InvariantViolation("support escaped the [-n-1, n+1] window")
+        if calm and rounds:
+            # The walk starts after a batch, whose last round fired the other
+            # half over its window; adding back what it fired gives those
+            # cells their turn values.  Every cell that fired in that round
+            # or may fire in the next lies in the scanned cells lo-1..hi+1.
+            s, _, _, _, counts, _, _ = rounds[h ^ 1]
+            s += T * counts
+            _walk_line(chips, fires, off, T, a, b, h, lo - 1, hi + 1)
+            break
         lo, hi = max(first - widen, first_ok), min(last + widen, last_ok)
         rounds = []
         for g, (s, f) in enumerate(halves):
@@ -608,3 +626,93 @@ def stabilize_line(n: int, params: GameParams, *,
     if not (state.n == n and state.is_final()):
         raise InvariantViolation(f"line stabilizer lost chips or stopped early at n={n}")
     return state, FiringLog(fired)
+
+
+def _walk_line(chips, fires, off: int, T: int, a: int, b: int, h: int,
+               c0: int, c1: int) -> None:
+    """Finish a line game in place, by walking the edges of its firing runs.
+
+    ``chips`` and ``fires`` are stabilize_line's buffers of cells 0..2·off,
+    cell c at index c >> 1 of the half of its parity, the even half first.
+    Round 0 is the turn of half h, round 1 that of the other half, and so on.
+    The cells of half h hold their chips, fewer than 2T, which are their turn
+    values V of round 0, the chips just before the turn.  The cells of the
+    other half hold their turn values of round -1: the chips they hold, fewer
+    than T, plus T for each of the F firings of that turn, which ``fires``
+    has counted.  Each cell fires F = V // T times at its turn.  Every cell
+    outside c0..c1 holds fewer than T chips and fired none at round -1.
+
+    After its turn a cell holds fewer than T chips, and before its next it
+    gains a·F(x+1) + b·F(x-1), at most T, since its neighbours hold fewer
+    than 2T at their turns from round 0 on; so no turn value reaches 2T and
+    no cell fires more than once a turn.  Between two turns of x each of its
+    neighbours has exactly one, so x's next turn value is
+    V - T·F(x) + a·F(x+1) + b·F(x-1), which is V again where
+    F(x-1) = F(x) = F(x+1): a cell inside a run repeats its turn, and a cell
+    far outside stays put.  A round therefore updates only its cells beside
+    an edge, a place where F(x) != F(x+1), and the game ends when no edge is
+    left, every F is 0 and the turn values are the chips.
+
+    ``fires`` holds a cell's firings through its latest turn, at round t,
+    less F·(t >> 1), which stays put while the cell repeats its turn, so a
+    cell is settled up only when its F changes.
+
+    Only the cells 2..2·off-2 may fire, the vertices -n+1..n-1 of the n-chip
+    game: its chips never leave -n..n, so -n and n never fire.  Every cell
+    the walk updates then fires or lies beside one that does, so no update
+    reads past either end of the buffer.
+    """
+    import numpy as np
+
+    half = off + 1                 # index of the odd half's first cell
+    fire_lo, fire_hi = 2, 2 * off - 2
+    # F of the cells c0-1..c1+1, zero past c0..c1.  fires counts round -1
+    # but not round 0, so adding F to it gives the form below, firings
+    # through round t less F·(t >> 1), for t = -1 and t = 0.
+    F = np.zeros(c1 - c0 + 3, dtype=np.int64)
+    for g in (0, 1):
+        c = c0 + ((c0 ^ g) & 1)    # the first cell of parity g in c0..c1
+        if c > c1:
+            continue
+        j0, j1 = (c >> 1) + g * half, ((c1 - g) >> 1) + 1 + g * half
+        k = chips[j0:j1] // T
+        fires[j0:j1] += k
+        F[c - c0 + 1 : c1 - c0 + 2 : 2] = k
+    firing = np.flatnonzero(F) + (c0 - 1)
+    if firing.size and not (fire_lo <= firing[0] and firing[-1] <= fire_hi):
+        raise InvariantViolation("support escaped the [-n-1, n+1] window")
+    # Edge e lies between cells e and e + 1.
+    edges = set((np.flatnonzero(F[1:] != F[:-1]) + (c0 - 1)).tolist())
+    S, fired = memoryview(chips), memoryview(fires)
+    # Cell c = 2j + p is at index j + own, and its neighbours c - 1 and c + 1
+    # at indices j + left and j + left + 1, where (own, left) = layout[p].
+    layout = ((0, off), (half, 0))
+    twice = 2 * T
+    r = 1
+    while edges:
+        p = h ^ (r & 1)            # the parity of the cells that take round r
+        own, left = layout[p]
+        since = (r >> 1) - 1       # t >> 1 of the cell's previous turn
+        for c in {e + ((e ^ p) & 1) for e in edges}:
+            j = c >> 1
+            i, l = j + own, j + left
+            v = S[i]
+            fo, fl, fr = v // T, S[l] // T, S[l + 1] // T
+            v += a * fr + b * fl - T * fo
+            if v >= twice:
+                raise InvariantViolation(f"line walk reached a turn value of {v} >= 2T")
+            S[i] = v
+            fn = v // T
+            if fn != fo:
+                if fn and not fire_lo <= c <= fire_hi:
+                    raise InvariantViolation("support escaped the [-n-1, n+1] window")
+                fired[i] += (fo - fn) * since
+                if fl != fn:
+                    edges.add(c - 1)
+                else:
+                    edges.discard(c - 1)
+                if fr != fn:
+                    edges.add(c)
+                else:
+                    edges.discard(c)
+        r += 1

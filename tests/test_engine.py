@@ -332,18 +332,27 @@ def _line_games(draw):
 @example(game=(1, 1, 3))
 # The line kernel keeps the even and the odd cells in two halves, fires one
 # half a round, the origin's in round 0, and recomputes its firable hull
-# every 32 rounds.  Cell i holds vertex i - n - 1, so the origin lies in the
-# first half for odd n and in the second for even n, and round r fires the
-# vertices of the parity of r.  (2, 3) stops at n = 24 halfway through its
-# first batch (16 rounds), on vertex 5 (odd); at n = 77 five rounds into its
-# fourth batch (101 rounds), on vertex 24 (even); at n = 86 and 103 on the
-# last round of a batch (128 and 160 rounds), on vertices 31 and 37 (odd);
-# and at n = 99 and 300 one round after a recomputation (161 and 609
-# rounds), on vertices 38 and 134 (even).  (1, 2) and (2, 1) skip the
-# product by their factor of one: at n = 56 and 57 they stop on the last
-# round of a batch (128 rounds), on vertex 47 or -47 (odd), and at n = 58
-# and 59 one round after a recomputation (129 rounds), on vertex 48 or -48
-# (even).
+# every 32 rounds.  From the first recomputation that finds every cell of the
+# half about to fire below 2T, and none of the other half firable, it walks
+# the edges of the firing run to the end.  Cell i holds vertex i - n - 1, so
+# the origin lies in the first half for odd n and in the second for even n,
+# and round r fires the vertices of the parity of r.  (2, 3) at n = 24 stops
+# in its first batch (16 rounds), on vertex 5 (odd), and is never walked.
+# At n = 77, 86 and 99 it is walked from round 64 and at n = 103 from round
+# 96; the last firing is in round 100 on vertex 24 (even), 127 on 31 (odd),
+# 160 on 38 (even) and 159 on 37 (odd).  At n = 300 the walk starts in round
+# 288 and ends on vertex 134 (even) in round 608, at n = 1234 it starts in
+# round 1376.  (1, 2) and (2, 1) skip the product by their factor of one: at
+# n = 56 and 57 they are walked from round 64 to a last firing in round 127
+# on vertex 47 or -47 (odd), at n = 58 and 59 in round 128 on 48 or -48
+# (even).  (2, 3) at n = 70, (4, 6) at 140 and (5, 6) at 189 are walked from
+# round 32, where a cell inside the run (vertex 7, 7 and 5) fired twice in
+# round 31.  (1, 3) and (3, 1) at n = 84 are walked from round 64, where the
+# run holds two cells, vertices 35 and 36 or -35 and -36, the first of them
+# fired twice in round 63, and the game ends with the second's firing in
+# round 64.  (1, 1) at n = 300 is walked from round 3520 of 13523, 74% of its
+# rounds.  (7, 2) at n = 600 holds a cell of 2T at the recomputation of round
+# 192 and stops in round 205, so it is never walked.
 @example(game=(2, 3, 24))
 @example(game=(2, 3, 77))
 @example(game=(2, 3, 86))
@@ -356,6 +365,13 @@ def _line_games(draw):
 @example(game=(2, 1, 58))
 @example(game=(2, 3, 0))
 @example(game=(2, 3, 1234))
+@example(game=(2, 3, 70))
+@example(game=(4, 6, 140))
+@example(game=(5, 6, 189))
+@example(game=(1, 3, 84))
+@example(game=(3, 1, 84))
+@example(game=(1, 1, 300))
+@example(game=(7, 2, 600))
 def test_stabilize_line_matches_engine(game):
     a, b, n = game
     p = GameParams(a, b)
@@ -368,15 +384,23 @@ def test_stabilize_line_other_params():
         assert stabilize_line(500, p) == stabilize(new_state(500, p)), (a, b)
 
 
-@pytest.mark.parametrize("extra, message", [
-    (1, "line stabilizer lost chips or stopped early at n=9"),
-    (5, "support escaped the [-n-1, n+1] window"),
-], ids=["extra-chip", "escaped-pile"])
-def test_line_kernel_checks_catch_a_corrupted_buffer(extra, message, monkeypatch):
+@pytest.mark.parametrize("n, extra, message", [
+    pytest.param(9, 1, "line stabilizer lost chips or stopped early at n=9", id="extra-chip"),
+    pytest.param(9, 5, "support escaped the [-n-1, n+1] window", id="escaped-pile"),
+    pytest.param(800, 1, "line stabilizer lost chips or stopped early at n=800",
+                 id="extra-chip-walked"),
+    pytest.param(800, 5, "line stabilizer lost chips or stopped early at n=800",
+                 id="far-pile-walked"),
+])
+def test_line_kernel_checks_catch_a_corrupted_buffer(n, extra, message, monkeypatch):
     """The line kernel's first cell holds vertex -n-1, outside the vertices
     -n..n it fires.  One extra chip there is never fired and ends in the
-    final state; a pile of T = 5 there is firable, and the hull recomputation
-    after the first batch, which scans one cell past the clamp, finds it."""
+    final state.  At n = 9 a pile of T = 5 there is firable, and the hull
+    recomputation after the first batch, which scans one cell past the clamp,
+    finds it.  At n = 800 the game is walked from round 864 and never comes
+    near vertex -801, so the pile, like the extra chip, ends in the final
+    state; the walk updates only cells beside its run and reads no cell past
+    the buffer."""
     real = engine._cells
 
     def seeded(*args):
@@ -386,7 +410,110 @@ def test_line_kernel_checks_catch_a_corrupted_buffer(extra, message, monkeypatch
 
     monkeypatch.setattr(engine, "_cells", seeded)
     with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
-        stabilize_line(9, GameParams(2, 3))
+        stabilize_line(n, GameParams(2, 3))
+
+
+def test_line_kernel_walks_once_the_firing_half_is_below_2T(monkeypatch):
+    """(2, 3) at n = 800 fires its last vertex in round 1783.  Its half about
+    to fire is first below 2T, with the other half calm, at the recomputation
+    after 27 batches, 864 rounds, and the walk plays the rest; a kernel that
+    never walked would play 1792 dense rounds."""
+    import numpy as np
+
+    dense, walks = [], []
+    real_divide, real_walk = np.floor_divide, engine._walk_line
+
+    def counting_divide(*args, **kwargs):
+        dense.append(1)
+        return real_divide(*args, **kwargs)
+
+    def recording_walk(*args):
+        walks.append(1)
+        real_walk(*args)
+
+    monkeypatch.setattr(np, "floor_divide", counting_divide)
+    monkeypatch.setattr(engine, "_walk_line", recording_walk)
+    p = GameParams(2, 3)
+    assert stabilize_line(800, p) == stabilize(new_state(800, p))
+    assert (len(dense), len(walks)) == (864, 1)
+
+
+def _walked(a, b, q, chips, last, off):
+    """``engine._walk_line`` over a buffer of the vertices -off..off, started
+    from chips on the vertices 0..m-1, where those of parity q take the next
+    turn and the others fired last[v] times at their last turn.  Returns the
+    chips and the firing counts it leaves, as {vertex: count} dicts."""
+    import numpy as np
+
+    T = a + b
+    cells, fires = np.zeros(2 * off + 1, dtype=np.int64), np.zeros(2 * off + 1, dtype=np.int64)
+
+    def index(v):
+        c = v + off
+        return (c >> 1) + (c & 1) * (off + 1)
+
+    for v, (c, k) in enumerate(zip(chips, last)):
+        cells[index(v)], fires[index(v)] = c + T * k, k
+    engine._walk_line(cells, fires, off, T, a, b, (q + off) & 1, off, off + len(chips) - 1)
+    return ({v: int(cells[index(v)]) for v in range(-off, off + 1) if cells[index(v)]},
+            {v: int(fires[index(v)]) for v in range(-off, off + 1) if fires[index(v)]})
+
+
+@st.composite
+def _walk_starts(draw):
+    """A pair, and a start state on vertices 0..m-1 in the form the walk
+    takes: the vertices of parity q hold fewer than 2T chips and take the
+    next turn, the others hold fewer than T and fired F = 0, 1 or 2 times at
+    their last turn."""
+    a, b = draw(st.sampled_from([(2, 3), (3, 2), (1, 1), (2, 2), (1, 3), (3, 1), (4, 5)]))
+    T = a + b
+    m = draw(st.integers(1, 24))
+    q = draw(st.integers(0, 1))
+    chips = [draw(st.integers(0, 2 * T - 1 if v % 2 == q else T - 1)) for v in range(m)]
+    last = [0 if v % 2 == q else draw(st.integers(0, 2)) for v in range(m)]
+    return a, b, q, chips, last
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=_walk_starts())
+# Several runs of one cell; runs of one and two cells, where a cell that
+# fired at its last turn meets a firable one; runs two cells apart, which
+# merge through the cell between them; a > b and a = b; a cell that fired
+# twice.
+@example(start=(2, 3, 0, [5, 0, 0, 0, 7, 0, 0, 0, 9], [0] * 9))
+@example(start=(2, 3, 0, [5, 4, 0, 0, 6, 0, 9], [0, 1, 0, 0, 0, 0, 0]))
+@example(start=(2, 3, 0, [9, 0, 9, 0, 9], [0] * 5))
+@example(start=(3, 2, 1, [0, 9, 3, 9, 0, 5], [0, 0, 1, 0, 0, 0]))
+@example(start=(2, 2, 0, [7, 3, 7, 0, 4, 3, 7], [0, 1, 0, 0, 0, 2, 0]))
+@example(start=(1, 3, 1, [3, 5, 3, 7], [2, 0, 0, 0]))
+def test_walk_from_arbitrary_start_states_matches_engine(start):
+    """The walk finishes any state in its form as ``stabilize`` does: the
+    chips it leaves are the final state of the chips it was given, and its
+    firing counts are stabilize's plus those of the last turn.  The buffer
+    leaves every vertex a firing can reach inside the cells that may fire."""
+    a, b, q, chips, last = start
+    p = GameParams(a, b)
+    got_chips, got_fires = _walked(a, b, q, chips, last, off=len(chips) + sum(chips) + 3)
+    want_state, want_log = stabilize(ChipState(p, {v: c for v, c in enumerate(chips) if c}))
+    want_fires = dict(want_log.fires)
+    for v, k in enumerate(last):
+        if k:
+            want_fires[v] = want_fires.get(v, 0) + k
+    assert (ChipState(p, got_chips), got_fires) == (want_state, want_fires), start
+
+
+@pytest.mark.parametrize("a, b, q, chips, off, message", [
+    # Vertex 1 is about to fire, but only vertex 0 may in a buffer of
+    # vertices -2..2.
+    (2, 3, 1, [0, 7], 2, "support escaped the [-n-1, n+1] window"),
+    # Vertex 0 fires and gives vertex 1 a sixth chip; vertex 1 may not fire.
+    (2, 3, 0, [7, 3], 2, "support escaped the [-n-1, n+1] window"),
+    # Vertex 0 holds 2T + 4 and fires twice, so vertex 1 turns 4 + 2b = 10.
+    (2, 3, 0, [14, 4], 40, "line walk reached a turn value of 10 >= 2T"),
+], ids=["firing-past-the-clamp", "turning-firable-past-the-clamp", "turn-value-2T"])
+def test_walk_checks_its_clamp_and_its_turn_values(a, b, q, chips, off, message):
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        _walked(a, b, q, chips, [0] * len(chips), off)
 
 
 # One pair per dispatch branch (a = b, gcd > 1, mirror, coprime a < b), as in
