@@ -118,13 +118,44 @@ def test_pure_fraction_and_empty():
     assert word_to_string(w) == ".43"
 
 
+# Each refused text and the message that names what is wrong with it.
+PARSE_ERRORS = [
+    ("", "empty word text"),
+    ("1..2", "more than one radix mark in '1..2'"),
+    # Compact text names the bad character.  ASCII digits only: "\u00b2" is
+    # a superscript two and "\u0663" an Arabic-Indic three, both of which
+    # str.isdigit accepts.
+    ("1a2", "bad character 'a' in '1a2'"),
+    ("-3", "bad character '-' in '-3'"),
+    ("\u00b2", "bad character '\u00b2' in '\u00b2'"),
+    ("1.\u00b2", "bad character '\u00b2' in '1.\u00b2'"),
+    ("\u06632", "bad character '\u0663' in '\u06632'"),
+    # List text names the bad comma-separated token, stripped.
+    ("4,,2", "bad digit token '' in '4,,2'"),
+    ("4,.2,", "bad digit token '' in '4,.2,'"),
+    ("1,\u00b2", "bad digit token '\u00b2' in '1,\u00b2'"),
+    ("1,\u06632", "bad digit token '\u06632' in '1,\u06632'"),
+    (" 4 , 2 .", "bad digit token '2 .' in ' 4 , 2 .'"),
+]
+
+
 def test_parse_errors():
-    # ASCII digits only: "\u00b2" is a superscript two and "\u0663" an
-    # Arabic-Indic three, both of which str.isdigit accepts.
-    for bad in ["", "1..2", "1a2", "4,,2", "4,.2,", "-3",
-                "\u00b2", "1,\u00b2", "1.\u00b2", "\u06632", "1,\u06632"]:
-        with pytest.raises(ParseError):
+    for bad, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
             string_to_word(bad)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text,digits,radix", [
+    ("14,.", (14,), 0),          # a lone-dot token after the head
+    (".,10", (10,), -1),         # and before the tail
+    ("3.10", (3, 1, 0), -2),     # compact: every character is one digit
+    (".5", (5,), -1),
+    ("2.", (2,), 0),
+    ("4, 4 ,2.1", (4, 4, 2, 1), -1),
+])
+def test_parse_accepted_forms(text, digits, radix):
+    assert string_to_word(text) == DigitWord(digits, radix)
 
 
 def test_numeral_has_no_dot_state_does():
