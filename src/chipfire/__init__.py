@@ -12,7 +12,6 @@ from .engine import (
     PARALLEL_ROUNDS,
     RIGHTMOST,
     ChipState,
-    FiringLog,
     FiringStrategy,
     GameParams,
     new_state,
@@ -31,7 +30,6 @@ from .words import (
     word_to_string,
 )
 from .analysis import (
-    InvariantReport,
     combine,
     firings_from_M,
     side_values,

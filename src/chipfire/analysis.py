@@ -21,7 +21,6 @@ from .errors import DivisionByZero, EqualRates, InconsistentLog, NotDivisible
 from .words import DigitWord, eval_base, segment_length
 
 __all__ = [
-    "InvariantReport",
     "state_poly_eval",
     "split",
     "combine",

@@ -43,10 +43,8 @@ from .settlements import (
 )
 from .verify import SUITES
 from .words import (
-    compact_segments,
     eval_base,
-    join_list_parts,
-    list_segments,
+    record_texts,
     render_digits,
     segment_length,
     string_to_word,
@@ -86,26 +84,7 @@ def _record(n: int, params: GameParams, answer: FinalAnswer) -> tuple:
     # The answer carries the left value at b/a, an integer set from its
     # counts; S(b/a) = n on every state, so the right value is n minus it.
     left_value = answer.left_value
-    # Each part is rendered once.  A digit above 9 puts the state in list
-    # form, made from one comma list per part (a compact part's is its
-    # characters joined by commas), while a part without such a digit keeps
-    # its own compact text; the lone-dot tokens ("14,.", ".,10") depend on
-    # the part.
-    head_text, tail_text = compact_segments(answer.head), compact_segments(answer.tail)
-    if head_text is not None and tail_text is not None:
-        state, left, right = head_text + "." + tail_text, head_text or ".", "." + tail_text
-    else:
-        if head_text is None:
-            head_list = list_segments(answer.head)
-            left = join_list_parts(head_list, "", False)
-        else:
-            head_list, left = ",".join(head_text), head_text or "."
-        if tail_text is None:
-            tail_list = list_segments(answer.tail)
-            right = join_list_parts("", tail_list, True)
-        else:
-            tail_list, right = ",".join(tail_text), "." + tail_text
-        state = join_list_parts(head_list, tail_list, True)
+    state, left, right = record_texts(answer.head, answer.tail)
     return (params.a, params.b, n, state, left, right,
             f0 if params.is_structured() else None,
             str(left_value), str(n - left_value), f0, f1, total)

@@ -18,7 +18,6 @@ from .words import numerator
 __all__ = [
     "GameParams",
     "ChipState",
-    "FiringLog",
     "FiringStrategy",
     "LEFTMOST",
     "RIGHTMOST",

@@ -52,7 +52,6 @@ __all__ = [
     "left_regular_word",
     "one_b_settlement",
     "one_b_right_length",
-    "nu",
     "r_sequence",
     "binary_trick_left",
 ]
@@ -477,19 +476,12 @@ def r_sequence(b: int, i: int) -> tuple:
     """i-th string (1-based) over digits {1..b} in increasing value order.
 
     This is the bijective base-b numeral of i, most significant digit
-    first: the 1-b left parts follow it.
+    first: the 1-b left parts follow it.  It is the peel of
+    words.numeral_digits at base b/1 over the digits [1, b].
     """
     if b < 2 or i < 1:
         raise InvalidParams("need b >= 2 and i >= 1")
-    low_first = []
-    v = i
-    while v > 0:
-        d = v % b
-        if d == 0:
-            d = b
-        low_first.append(d)
-        v = (v - d) // b
-    return tuple(reversed(low_first))
+    return numeral_digits(i, 1, b, 1)
 
 
 def binary_trick_left(n: int) -> tuple:

@@ -34,7 +34,7 @@ __all__ = [
     "segment_length",
     "compact_segments",
     "list_segments",
-    "join_list_parts",
+    "record_texts",
     "string_to_word",
 ]
 
@@ -135,14 +135,13 @@ def eval_base(w: DigitWord, params: GameParams) -> Fraction:
     """Exact value sum(d_p * (b/a)^p) over every position of the word.
 
     The base is taken in lowest terms, so (4, 6) costs what (2, 3) does and
-    a = b, where every power is one, is the digit sum.
+    a = b reduces to (1, 1), where every power is one and the numerator is
+    the digit sum.
     """
     if w.is_empty():
         return Fraction(0)
     d = gcd(params.a, params.b)
     a, b = params.a // d, params.b // d
-    if a == b:
-        return Fraction(sum(w.digits))
     # numerator gives sum over positions of d_p * b^(p-radix) * a^(hi-p);
     # the true value is then that times b^radix / a^hi.
     return Fraction(numerator(w.digits, a, b) * b**max(w.radix, 0) * a**max(-w.hi, 0),
@@ -174,7 +173,7 @@ def numerator(ds, a: int, b: int) -> int:
 # Text formats.  Compact form concatenates single digits with '.' as the
 # radix mark ("442.2243"); list form separates digits with commas and keeps
 # '.' between the adjacent digits ("14,3.10,2").  Compact is only legal when
-# every digit is at most 9.
+# every digit is at most 9.  This module alone writes and reads them.
 # ---------------------------------------------------------------------------
 
 
@@ -261,7 +260,7 @@ def list_segments(segments: tuple) -> str:
     return ",".join(parts)
 
 
-def join_list_parts(head_text: str, tail_text: str, want_dot: bool) -> str:
+def _join_list_parts(head_text: str, tail_text: str, want_dot: bool) -> str:
     """The list-form text of a word from the list texts of its two parts;
     ``want_dot`` prints the radix point."""
     out = head_text + "." + tail_text if want_dot else head_text
@@ -283,14 +282,46 @@ def render_digits(head: tuple, tail: tuple, want_dot: bool,
         compact_head, compact_tail = compact_segments(head), compact_segments(tail)
         if compact_head is not None and compact_tail is not None:
             return compact_head + "." + compact_tail if want_dot else compact_head
-    return join_list_parts(list_segments(head), list_segments(tail), want_dot)
+    return _join_list_parts(list_segments(head), list_segments(tail), want_dot)
+
+
+def record_texts(head: tuple, tail: tuple) -> tuple[str, str, str]:
+    """The texts (state, left, right) of a final state whose parts are the
+    segments ``head`` and ``tail``, as a `final --json` record gives them:
+    the state with its radix point, the left part bare ("." when empty) and
+    the right part after a point.
+
+    Each part is rendered once.  A digit above 9 puts the state in list
+    form, made from one comma list per part (a compact part's is its
+    characters joined by commas), while a part without such a digit keeps
+    its own compact text; the lone-dot tokens ("14,.", ".,10") depend on
+    the part.
+    """
+    compact_head, compact_tail = compact_segments(head), compact_segments(tail)
+    if compact_head is not None and compact_tail is not None:
+        return compact_head + "." + compact_tail, compact_head or ".", "." + compact_tail
+    if compact_head is None:
+        head_list = list_segments(head)
+        left = _join_list_parts(head_list, "", False)
+    else:
+        head_list, left = ",".join(compact_head), compact_head or "."
+    if compact_tail is None:
+        tail_list = list_segments(tail)
+        right = _join_list_parts("", tail_list, True)
+    else:
+        tail_list, right = ",".join(compact_tail), "." + compact_tail
+    return _join_list_parts(head_list, tail_list, True), left, right
 
 
 def string_to_word(text: str) -> DigitWord:
     """Parse either text form back into a DigitWord.
 
     Accepts "442.2243", "2100", "0.", ".43", ".", and the list forms
-    "4,4,2.2,2,4,3" / "14,3.10,2" / "4,4,2.".
+    "4,4,2.2,2,4,3" / "14,3.10,2" / "4,4,2." / "14,.".  One token loop reads
+    both: a list form's tokens are its comma-separated pieces, stripped, and
+    a compact form's are its characters.  A token is a digit run, and the
+    radix dot may glue two of them ("3.10"), hang off one ("2.", ".5") or
+    stand alone.
     """
     s = text.strip()
     if not s:
@@ -298,57 +329,25 @@ def string_to_word(text: str) -> DigitWord:
     if s.count(".") > 1:
         raise ParseError(f"more than one radix mark in {text!r}")
     if "," in s:
-        int_part, frac_part = _parse_list(s, text)
+        tokens, what = [tok.strip() for tok in s.split(",")], "bad digit token"
     else:
-        if "." in s:
-            head, tail = s.split(".")
-        else:
-            head, tail = s, ""
-        int_part = [int(ch) for ch in head if _digit_or_raise(ch, text)]
-        frac_part = [int(ch) for ch in tail if _digit_or_raise(ch, text)]
-    if not int_part and not frac_part:
-        return EMPTY_WORD
+        tokens, what = s, "bad character"
+    int_part: list[int] = []
+    frac_part: list[int] = []
+    current = int_part
+    for tok in tokens:
+        head, dot, tail = tok.partition(".")
+        # A digit run or the dot, and nothing but ASCII digits beside the dot
+        # (str.isdigit alone also takes other scripts' digits and superscripts).
+        digits = head + tail
+        if not (head or dot) or digits and not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"{what} {tok!r} in {text!r}")
+        if head:
+            current.append(int(head))
+        if dot:
+            current = frac_part
+        if tail:
+            frac_part.append(int(tail))
     if not int_part:
         return DigitWord.fraction(frac_part)
     return DigitWord(tuple(int_part) + tuple(frac_part), -len(frac_part))
-
-
-def _is_digits(s: str) -> bool:
-    """Whether ``s`` is one or more ASCII digits 0-9; str.isdigit alone also
-    takes other scripts' digits and superscripts."""
-    return s.isascii() and s.isdigit()
-
-
-def _digit_or_raise(ch: str, text: str) -> bool:
-    if not _is_digits(ch):
-        raise ParseError(f"bad character {ch!r} in {text!r}")
-    return True
-
-
-def _parse_list(s: str, text: str) -> tuple[list[int], list[int]]:
-    """List form: comma-separated digit tokens; the radix dot either glues two
-    adjacent digits ("3.10"), hangs off one ("2.", ".5"), or stands alone."""
-    before: list[int] = []
-    after: list[int] = []
-    current = before
-    for tok in s.split(","):
-        tok = tok.strip()
-        if tok == ".":
-            current = after
-            continue
-        if "." in tok:
-            head, tail = tok.split(".")
-            if head:
-                if not _is_digits(head):
-                    raise ParseError(f"bad digit token {tok!r} in {text!r}")
-                before.append(int(head))
-            current = after
-            if tail:
-                if not _is_digits(tail):
-                    raise ParseError(f"bad digit token {tok!r} in {text!r}")
-                after.append(int(tail))
-            continue
-        if not _is_digits(tok):
-            raise ParseError(f"bad digit token {tok!r} in {text!r}")
-        current.append(int(tok))
-    return before, after

@@ -1,10 +1,11 @@
 """Every function, class and method in the package has a reader, and one
 outside the tests but for two reference implementations, every method,
 property and field of a package class is read as an attribute, and every
-exported name exists."""
+exported name exists and is named outside its module."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,28 @@ def test_every_export_resolves(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, missing
     exec(f"from {name} import *", {})
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    """The names listed in the module's ``__all__``."""
+    listed = _all_strings(tree)
+    return [node.value for node in ast.walk(tree) if id(node) in listed]
+
+
+def test_every_export_is_mentioned_elsewhere():
+    """Each name in a module's ``__all__`` is mentioned, as a whole word, by
+    another module of the package, a test or a benchmark file: an export
+    that nothing outside its module names is an interface no one uses.  The
+    re-exports of ``__init__`` are no mention."""
+    texts = {path: path.read_text() for path in _sources(READERS)}
+    unmentioned = [
+        f"{path.relative_to(ROOT)} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _exports(ast.parse(texts[path], str(path)))
+        if not any(re.search(rf"\b{name}\b", text) for other, text in texts.items()
+                   if other not in (path, PACKAGE / "__init__.py"))
+    ]
+    assert not unmentioned, unmentioned
 
 
 def test_every_import_is_read():

@@ -400,6 +400,27 @@ def test_fast_path_parts_equal_oracle_on_every_branch(case):
     assert (segment_digits(ans.head), segment_digits(ans.tail)) == split(stabilize_line(n, p)[0])
 
 
+# Coprime pairs with c from 20 to 87, each with its mirror and its double.
+LARGE_C_PAIRS = [(20, 21), (33, 34), (41, 43), (50, 51), (61, 64), (70, 71), (87, 88)]
+
+
+@pytest.mark.parametrize("a,b", LARGE_C_PAIRS)
+def test_fast_path_equals_oracle_at_large_c(a, b):
+    """Parts, f0, f1 and the total of final_answer equal the line kernel's
+    at chip counts around H and past it (times d under the lift), for the
+    pair, its mirror (no f1) and twice the pair."""
+    p = GameParams(a, b)
+    c, H = p.c, profile_for(p).H
+    for q, r, d in [(a, b, 1), (b, a, 1), (2 * a, 2 * b, 2)]:
+        game = GameParams(q, r)
+        for n in (H - 1, H, H + 1, H + c, H + 3 * c + 1):
+            state, log = stabilize_line(d * n, game)
+            ans = final_answer(d * n, game)
+            f1 = log.fires.get(1, 0) if q < r else None
+            assert (segment_digits(ans.head), segment_digits(ans.tail)) == split(state)
+            assert ans.counts(game) == (log.fires.get(0, 0), f1, log.total), (q, r, d * n)
+
+
 def test_compute_profile_rejects_unstructured():
     with pytest.raises(InvalidParams):
         compute_profile(GameParams(2, 2))
@@ -663,6 +684,18 @@ def test_r_sequence_prefix():
     got = [r_sequence(2, i) for i in range(1, 9)]
     assert got == [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (1, 1, 2)]
     assert r_sequence(3, 4) == (1, 1)
+
+
+def test_r_sequence_is_the_bijective_numeral():
+    """Every digit of R(b)_i lies in 1..b, and the digits read in base b give i."""
+    for b in range(2, 7):
+        for i in range(1, 2001):
+            digits = r_sequence(b, i)
+            assert all(1 <= d <= b for d in digits), (b, i)
+            assert sum(d * b**k for k, d in enumerate(reversed(digits))) == i, (b, i)
+    for b, i in [(1, 5), (3, 0)]:
+        with pytest.raises(InvalidParams):
+            r_sequence(b, i)
 
 
 def test_r_sequence_orders_by_value():
