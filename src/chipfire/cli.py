@@ -303,8 +303,8 @@ def cmd_bench(args, out) -> int:
     grid = [_int(tok, "bench grid") for tok in args.grid.split(",") if tok.strip()]
     if not grid or any(n < 0 for n in grid):
         raise InvalidParams(f"bad bench grid {args.grid!r}")
-    # Warm up outside the timed region: numpy import and, for structured
-    # pairs, the one-off profile certification.  The answer is not
+    # Warm up outside the timed region: one small line game and, for
+    # structured pairs, the one-off profile certification.  The answer is not
     # materialized, so a grid too large for the oracle's buffer is refused
     # there, before any state is built.
     stabilize_line(params.threshold, params)

@@ -9,8 +9,12 @@ pluggable schedules, and logs per-vertex firing counts.
 from __future__ import annotations
 
 import random as _random
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
+from operator import add
 
 from .errors import InvalidParams, InvariantViolation
 from .words import numerator
@@ -164,19 +168,16 @@ def new_state(n: int, params: GameParams) -> ChipState:
 
 
 # At 8 bytes a cell, a buffer this long would take 2**62 bytes, more than any
-# machine's memory, so it is refused before allocating.  The cap also keeps
-# every count of the line kernel far inside int64.
+# machine's memory, so it is refused before allocating.
 _MAX_CELLS = 2**59
 
 
-def _cells(size: int, n: int, zeros=lambda size: [0] * size,
-           buffer: str = "an oracle buffer") -> tuple:
-    """The chip and firing-count buffers of ``size`` cells each, made by
-    ``zeros``, for the n-chip game, or a refusal naming ``buffer`` when they do
-    not fit in memory."""
+def _cells(size: int, n: int, buffer: str = "an oracle buffer") -> tuple:
+    """The chip and firing-count lists of ``size`` cells each for the n-chip
+    game, or a refusal naming ``buffer`` when they do not fit in memory."""
     if size < _MAX_CELLS:
         try:
-            return zeros(size), zeros(size)
+            return [0] * size, [0] * size
         except MemoryError:
             pass
     raise InvalidParams(f"n={n} needs {buffer} of {size} cells, more than memory holds")
@@ -500,138 +501,210 @@ def oracle_rows(params: GameParams, n_max: int):
         yield n, left, right, bb.fcount[off], bb.fcount[off + 1]
 
 
-# Rounds the line kernel fires between two recomputations of its firable hull.
-# A recomputation scans and slices both halves, which costs about as much as
-# a round of a small game, and a round fires over the hull widened by up to
-# _HULL_EVERY - 1 vertices a side, half of them in the half it fires.  Against
-# 16, 32 saved about 5% on games of n = 300 to 800 and 7-10% at n = 10^5.  A
-# game that ends before it is walked may end with up to 31 idle rounds; one
-# that is walked ends on its last firing.
-_HULL_EVERY = 32
+
+# Cells the line kernel's window reaches past its firing hull on each side,
+# at least; a wide hull gets an eighth of its width.  Against a sixteenth or
+# a quarter, an eighth was as fast or faster on (2, 3) at n = 500, 20000 and
+# 10^5.  At n < 16 the first window holds the whole buffer.
+_MIN_MARGIN = 16
+
+# Round pairs in one epoch of the line kernel, at most.  An epoch also ends
+# when its firing hull reaches an edge of its window, after about 310 rounds
+# on (2, 3) at n = 10^5, so the cap rarely binds; it bounds the firings a
+# lane counts, which the lane width provides for.
+_EPOCH_PAIRS = 512
+
+
+def _lane_bytes(smax: int, T: int) -> int:
+    """Bytes per lane of a line-kernel epoch whose cells hold at most smax
+    chips.  A lane holds s·M < 2^(2·bitlen(smax) + 1) for the epoch's
+    multiplier M, and the firings of up to _EPOCH_PAIRS turns of at most
+    smax // T each, with its top bit to spare."""
+    bits = max(2 * smax.bit_length() + T.bit_length() + 2,
+               (_EPOCH_PAIRS * (smax // T)).bit_length() + 1)
+    return (bits + 7) // 8
+
+
+def _pack(values: list, nb: int) -> int:
+    """One int holding ``values`` in lanes of nb bytes, the first lowest."""
+    if nb > 8 or sys.byteorder != "little":
+        return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]), "little")
+    raw = array("Q", values).tobytes()
+    if nb < 8:
+        lanes = bytearray(len(values) * nb)
+        for k in range(nb):
+            lanes[k::nb] = raw[k::8]
+        raw = lanes
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(x: int, count: int, nb: int) -> list:
+    """The ``count`` lanes of nb bytes of x, the inverse of _pack."""
+    raw = x.to_bytes(count * nb, "little")
+    if nb > 8 or sys.byteorder != "little":
+        return [int.from_bytes(raw[k : k + nb], "little") for k in range(0, len(raw), nb)]
+    if nb < 8:
+        words = bytearray(count * 8)
+        for k in range(nb):
+            words[k::8] = raw[k::nb]
+        raw = words
+    return array("Q", raw).tolist()
 
 
 def stabilize_line(n: int, params: GameParams, *,
                    buffer: str = "a line buffer") -> tuple[ChipState, FiringLog]:
-    """Stabilization of n chips at the origin over a numpy buffer.
+    """Stabilization of n chips at the origin, with the cells of a round
+    packed into the lanes of one Python int.
 
     The one kernel that plays a single game from the origin: ``bench`` times
-    it and ``final --oracle`` answers with it.  ``buffer`` names its buffer
-    in the refusal when the buffer does not fit in memory.  The buffer holds
-    the cells as two contiguous halves, the vertices of one parity and then
-    those of the other, and a round fires the cells of one half in a window
-    floor(s/T) times each by slice updates.  The neighbours of a cell all lie
-    in the other half, so the cells of one half never feed each other, and
-    the rounds alternate between the halves.  That is a legal schedule from
-    any state, so by confluence it ends in the same final state and firing
-    counts as ``stabilize``.  From one pile only the vertices of one parity
-    can fire in a round, the origin's parity in round 0 and the other in
-    round 1, so the schedule fires round for round what firing the whole
-    window each round would, at half the work.
+    it and ``final --oracle`` answers with it.  ``buffer`` names its lists in
+    the refusal when they do not fit in memory.  Each list holds the cells as
+    two halves, the vertices of one parity and then those of the other, and
+    a round fires every cell of one half floor(s/T) times.  The neighbours of
+    a cell all lie in the other half, so the cells of one half never feed
+    each other, and the rounds alternate between the halves.  That is a
+    legal schedule from any state, so by confluence it ends in the same
+    final state and firing counts as ``stabilize``.  From one pile only the
+    vertices of one parity can fire in a round, the origin's parity in round
+    0 and the other in round 1, so the schedule fires round for round what
+    firing every cell each round would, at half the work.
 
-    The window is the firable hull, the first to the last vertex holding at
-    least T chips in either half, recomputed only every _HULL_EVERY rounds.
-    A round can make firable only the neighbours of cells that fired, so the
-    hull grows by at most one vertex a side per round; the rounds in between
-    therefore fire over the hull widened by _HULL_EVERY - 1 vertices a side,
-    where every cell outside the true hull fires zero times.  A round with
-    nothing firable is a no-op.
+    The game is played in epochs over a window of cells around the firing
+    hull, the first to the last cell that fires.  An epoch packs the
+    window's cells of each half into the lanes of one int, lane k the k-th
+    cell, each holding s·M for its s chips, where M = ceil(2^K/T) is the
+    invariant divisor of Granlund and Montgomery ("Division by invariant
+    integers using multiplication", PLDI 1994): floor(s·M / 2^K) = floor(s/T)
+    for every s below 2^bitlen(smax), the epoch's chip bound, with K =
+    bitlen(smax) + bitlen(T).  A round is then a few int operations over all
+    lanes at once: a shift and a mask give the firing counts Q, the half
+    loses T·M·Q and the other half gains M·(a·Q(k+1) + b·Q(k)) in lane k,
+    one product by M·(a + b·2^W) for lane width W, moved down a lane when
+    the even half fires; a second int per half adds up Q.  No lane borrows
+    from or carries into the next: s·M stays below 2^(W-1), which each
+    epoch checks at its start, and so do the firing sums at its end.
 
-    Once a recomputation finds every cell of the half about to fire below 2T
-    and none of the other half firable, no cell fires more than once a turn
-    from then on, and ``_walk_line`` finishes the game by updating only the
-    cells at the edges of the runs that fire, two a round for one run.
+    The chip bound holds for the whole epoch.  The half that just fired
+    holds fewer than T chips, so a cell that gains from both neighbours
+    ends with fewer than T + T·floor(m/T) for the most chips m of a firing
+    cell: floor(m/T) never grows, and no cell exceeds smax = T·(floor(m0/T)
+    + 1) - 1 for the most chips m0 at the epoch's start.  Lanes are sized
+    from it (_lane_bytes), so they narrow as the pile spreads.
+
+    An epoch ends when a round would fire an edge cell of the window, or a
+    cell outside -n+1..n-1, or after _EPOCH_PAIRS round pairs, and the next
+    epoch centres a window on the cells about to fire.  Cells outside the
+    window hold fewer than T chips, and the cells it fires keep their
+    neighbours inside it.
+
+    At the first round whose half fires no cell more than once, every cell
+    of it below 2T, no cell fires more than once a turn from then on, and
+    ``_walk_line`` finishes the game by updating only the cells at the
+    edges of the runs that fire, two a round for one run.
     """
-    import numpy as np
-
     if n < 0:
         raise InvalidParams("chip count must be non-negative")
     T, a, b = params.threshold, params.a, params.b
     if n < T:
         return new_state(n, params), FiringLog({})
-    # Cell i holds vertex i - off, the even cells i = 2j at index j of the
-    # first half and the odd cells i = 2j + 1 at index j of the second, so an
-    # even cell j sends to odd cells j - 1 and j and an odd cell j to even
-    # cells j and j + 1.  Only the vertices -n..n may fire, so chips stay on
-    # -n-1..n+1, the whole buffer.  The window is clamped to the cells that
-    # may fire, and an edge cell that turns firable is caught at the next
-    # hull recomputation, which scans one cell past the window on each side.
+    # Cell c holds vertex c - off, the even cells c = 2j at index j and the
+    # odd cells c = 2j + 1 at index j + half.  Only the vertices -n+1..n-1
+    # fire (see _walk_line), so chips stay on -n..n, inside the lists.
     off = n + 1
-    chips, fires = _cells(2 * off + 1, n, lambda size: np.zeros(size, dtype=np.int64), buffer)
-    halves = ((chips[: off + 1], fires[: off + 1]), (chips[off + 1 :], fires[off + 1 :]))
-    halves[off & 1][0][off >> 1] = n
-    first_ok, last_ok = 1, 2 * off - 1
-    lo = hi = off
-    widen = _HULL_EVERY - 1
+    half = off + 1
+    size = 2 * off + 1
+    chips, fires = _cells(size, n, buffer)
+    chips[(off >> 1) + (off & 1) * half] = n
+    fire_lo, fire_hi = 2, 2 * off - 2
     h = off & 1                    # the half the next round fires
-    rounds = None
+    lo = hi = off                  # the firing hull
     while True:
-        ends, calm = [], True
-        for g, (s, _) in enumerate(halves):
-            # The cells lo-1..hi+1 of half g are its indices j0..j1-1.
-            j0, j1 = (lo - g) >> 1, ((hi + 1 - g) >> 1) + 1
-            scanned = s[j0:j1]
-            firable = (scanned >= T).nonzero()[0]
-            if firable.size:
-                ends += (2 * (j0 + int(firable[0])) + g, 2 * (j0 + int(firable[-1])) + g)
-                calm = calm and g == h and int(scanned.max()) < 2 * T
-        if not ends:
+        # A window [w0, w1] with w0 even holds the cells w0 + g + 2k of half
+        # g in lane k, so odd lane k sits between even lanes k and k + 1.
+        margin = max(_MIN_MARGIN, (hi - lo) >> 3)
+        w0, w1 = max(lo - margin, 0) & ~1, min(hi + margin, size - 1)
+        counts = ((w1 - w0) // 2 + 1, (w1 - w0 + 1) // 2)
+        cuts = [slice(i, i + c) for i, c in zip((w0 >> 1, half + (w0 >> 1)), counts)]
+        window = [chips[cut] for cut in cuts]
+        smax = T * (max(map(max, window)) // T + 1) - 1
+        nb = _lane_bytes(smax, T)
+        W = 8 * nb
+        K = smax.bit_length() + T.bit_length()
+        M = -(-(1 << K) // T)
+        ones = int.from_bytes(b"\1".ljust(nb, b"\0") * (counts[0] + 1), "little")
+        low = ones * ((1 << (W - K)) - 1)
+        twice = low ^ ones         # the lanes of Q that fire more than once
+        top = ones << (W - 1)
+        P = [_pack(cells, nb) * M for cells in window]
+        if (P[0] | P[1]) & top:
+            raise InvariantViolation(f"line kernel lane of {W} bits overflowed")
+        # Lane k of half g may fire if its cell lies in a0..a1.
+        a0, a1 = max(w0 + 1, fire_lo), min(w1 - 1, fire_hi)
+        edge = [(1 << W * ((a0 - w0 - g + 1) >> 1)) - 1 | -1 << W * (((a1 - w0 - g) >> 1) + 1)
+                for g in (0, 1)]
+        # An epoch starts on round 0 or on a round that fires some cell more
+        # than once, so the round before it is never needed (QY = 0).
+        x, y = h, h ^ 1
+        X, Y, EX, EY = P[x], P[y], edge[x], edge[y]
+        sx, sy = W * (1 - x), W * (1 - y)
+        TM, MAB = T * M, M * (a + (b << W))
+        FX = FY = QY = 0
+        turned = False
+        for _ in range(_EPOCH_PAIRS):
+            QX = (X >> K) & low
+            if QX & EX or not QX & twice:
+                break
+            X -= QX * TM
+            Y += (QX * MAB) >> sx
+            FX += QX
+            QY = (Y >> K) & low
+            if QY & EY or not QY & twice:
+                turned = True
+                break
+            Y -= QY * TM
+            X += (QY * MAB) >> sy
+            FY += QY
+        else:
+            QX = (X >> K) & low
+        if (X | Y | FX | FY) & top:
+            raise InvariantViolation(f"line kernel lane of {W} bits overflowed")
+        F = [0, 0]
+        P[x], P[y], F[x], F[y] = X, Y, FX, FY
+        Q, prev = (QY, QX) if turned else (QX, QY)
+        h ^= turned
+        if Q:
+            lo = w0 + h + 2 * (((Q & -Q).bit_length() - 1) // W)
+            hi = w0 + h + 2 * ((Q.bit_length() - 1) // W)
+            if not (fire_lo <= lo and hi <= fire_hi):
+                raise InvariantViolation("support escaped the [-n-1, n+1] window")
+        calm = not Q & twice
+        if calm:
+            # The walk takes half h ^ 1 at its turn values: its chips and T
+            # for each firing of the round before.
+            P[h ^ 1] += TM * prev
+        for g in (0, 1):
+            chips[cuts[g]] = _unpack(P[g] // M, counts[g], nb)
+            fires[cuts[g]] = map(add, fires[cuts[g]], _unpack(F[g], counts[g], nb))
+        if calm:
+            _walk_line(chips, fires, off, T, a, b, h, w0, w1)
             break
-        first, last = min(ends), max(ends)
-        if not (first >= first_ok and last <= last_ok):
-            raise InvariantViolation("support escaped the [-n-1, n+1] window")
-        if calm and rounds:
-            # The walk starts after a batch, whose last round fired the other
-            # half over its window; adding back what it fired gives those
-            # cells their turn values.  Every cell that fired in that round
-            # or may fire in the next lies in the scanned cells lo-1..hi+1.
-            s, _, _, _, counts, _, _ = rounds[h ^ 1]
-            s += T * counts
-            _walk_line(chips, fires, off, T, a, b, h, lo - 1, hi + 1)
-            break
-        lo, hi = max(first - widen, first_ok), min(last + widen, last_ok)
-        rounds = []
-        for g, (s, f) in enumerate(halves):
-            # The cells lo..hi of half g are its indices j0..j1-1; they send
-            # to indices j0-1+g..j1-2+g and j0+g..j1-1+g of the other half.
-            j0, j1 = (lo + 1 - g) >> 1, ((hi - g) >> 1) + 1
-            other = halves[1 - g][0]
-            width = j1 - j0
-            counts = np.empty(width, dtype=np.int64)
-            # a·counts and b·counts; a factor of one reuses counts itself.
-            out_a = counts if a == 1 else np.empty(width, dtype=np.int64)
-            out_b = counts if b == 1 else np.empty(width, dtype=np.int64)
-            rounds.append((s[j0:j1], f[j0:j1], other[j0 - 1 + g : j1 - 1 + g],
-                           other[j0 + g : j1 + g], counts, out_a, out_b))
-        for _ in range(_HULL_EVERY):
-            s, f, to_left, to_right, counts, out_a, out_b = rounds[h]
-            h ^= 1
-            np.floor_divide(s, T, out=counts)
-            if a != 1:
-                np.multiply(counts, a, out=out_a)
-            if b != 1:
-                np.multiply(counts, b, out=out_b)
-            s -= out_a
-            s -= out_b
-            to_left += out_a
-            to_right += out_b
-            f += counts
     held, fired = {}, {}
-    for g, (s, f) in enumerate(halves):
-        # Index j of half g is cell 2j + g, vertex 2j + g - off.
-        for cells, into in ((s, held), (f, fired)):
-            j = np.flatnonzero(cells)
-            into.update(zip((2 * j + (g - off)).tolist(), cells[j].tolist()))
+    for g, start, stop in ((0, 0, half), (1, half, size)):
+        # Index i of half g is cell 2(i - start) + g, vertex 2(i - start) + g - off.
+        for cells, into in ((chips, held), (fires, fired)):
+            for i in compress(range(start, stop), cells[start:stop]):
+                into[2 * (i - start) + g - off] = cells[i]
     state = ChipState(params, held)
     if not (state.n == n and state.is_final()):
         raise InvariantViolation(f"line stabilizer lost chips or stopped early at n={n}")
     return state, FiringLog(fired)
 
 
-def _walk_line(chips, fires, off: int, T: int, a: int, b: int, h: int,
+def _walk_line(chips: list, fires: list, off: int, T: int, a: int, b: int, h: int,
                c0: int, c1: int) -> None:
     """Finish a line game in place, by walking the edges of its firing runs.
 
-    ``chips`` and ``fires`` are stabilize_line's buffers of cells 0..2·off,
+    ``chips`` and ``fires`` are stabilize_line's lists of cells 0..2·off,
     cell c at index c >> 1 of the half of its parity, the even half first.
     Round 0 is the turn of half h, round 1 that of the other half, and so on.
     The cells of half h hold their chips, fewer than 2T, which are their turn
@@ -659,30 +732,27 @@ def _walk_line(chips, fires, off: int, T: int, a: int, b: int, h: int,
     Only the cells 2..2·off-2 may fire, the vertices -n+1..n-1 of the n-chip
     game: its chips never leave -n..n, so -n and n never fire.  Every cell
     the walk updates then fires or lies beside one that does, so no update
-    reads past either end of the buffer.
+    reads past either end of the lists.
     """
-    import numpy as np
-
     half = off + 1                 # index of the odd half's first cell
     fire_lo, fire_hi = 2, 2 * off - 2
     # F of the cells c0-1..c1+1, zero past c0..c1.  fires counts round -1
     # but not round 0, so adding F to it gives the form below, firings
     # through round t less F·(t >> 1), for t = -1 and t = 0.
-    F = np.zeros(c1 - c0 + 3, dtype=np.int64)
+    F = [0] * (c1 - c0 + 3)
     for g in (0, 1):
         c = c0 + ((c0 ^ g) & 1)    # the first cell of parity g in c0..c1
         if c > c1:
             continue
         j0, j1 = (c >> 1) + g * half, ((c1 - g) >> 1) + 1 + g * half
-        k = chips[j0:j1] // T
-        fires[j0:j1] += k
+        k = [s // T for s in chips[j0:j1]]
+        fires[j0:j1] = map(add, fires[j0:j1], k)
         F[c - c0 + 1 : c1 - c0 + 2 : 2] = k
-    firing = np.flatnonzero(F) + (c0 - 1)
-    if firing.size and not (fire_lo <= firing[0] and firing[-1] <= fire_hi):
+    firing = [c for c, f in enumerate(F, c0 - 1) if f]
+    if firing and not (fire_lo <= firing[0] and firing[-1] <= fire_hi):
         raise InvariantViolation("support escaped the [-n-1, n+1] window")
     # Edge e lies between cells e and e + 1.
-    edges = set((np.flatnonzero(F[1:] != F[:-1]) + (c0 - 1)).tolist())
-    S, fired = memoryview(chips), memoryview(fires)
+    edges = {e for e, (f, g) in enumerate(zip(F, F[1:]), c0 - 1) if f != g}
     # Cell c = 2j + p is at index j + own, and its neighbours c - 1 and c + 1
     # at indices j + left and j + left + 1, where (own, left) = layout[p].
     layout = ((0, off), (half, 0))
@@ -695,17 +765,17 @@ def _walk_line(chips, fires, off: int, T: int, a: int, b: int, h: int,
         for c in {e + ((e ^ p) & 1) for e in edges}:
             j = c >> 1
             i, l = j + own, j + left
-            v = S[i]
-            fo, fl, fr = v // T, S[l] // T, S[l + 1] // T
+            v = chips[i]
+            fo, fl, fr = v // T, chips[l] // T, chips[l + 1] // T
             v += a * fr + b * fl - T * fo
             if v >= twice:
                 raise InvariantViolation(f"line walk reached a turn value of {v} >= 2T")
-            S[i] = v
+            chips[i] = v
             fn = v // T
             if fn != fo:
                 if fn and not fire_lo <= c <= fire_hi:
                     raise InvariantViolation("support escaped the [-n-1, n+1] window")
-                fired[i] += (fo - fn) * since
+                fires[i] += (fo - fn) * since
                 if fl != fn:
                     edges.add(c - 1)
                 else:

@@ -977,6 +977,20 @@ def test_subprocess_entry_point():
             assert proc.stderr.startswith("usage: chipfire [-h] {final,settlements,")
 
 
+def test_oracle_commands_run_without_numpy():
+    """The package imports no numpy: with its import blocked, the commands
+    that play line games exit 0 and write nothing to stderr."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    script = ("import sys; sys.modules['numpy'] = None; "
+              "from chipfire.cli import main; sys.exit(main(sys.argv[1:]))")
+    for argv in (["final", "800", "-a", "2", "-b", "3", "--oracle", "--json"],
+                 ["bench", "-a", "2", "-b", "3", "--grid", "2000"]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert proc.stdout
+
+
 def test_closed_stdout_exits_one_quietly():
     """A reader that closes the pipe after the first line (as `| head -1`
     does) ends the command with exit 1 and no traceback on stderr."""

@@ -330,29 +330,26 @@ def _line_games(draw):
 @example(game=(1, 1, 1))
 @example(game=(1, 1, 2))
 @example(game=(1, 1, 3))
-# The line kernel keeps the even and the odd cells in two halves, fires one
-# half a round, the origin's in round 0, and recomputes its firable hull
-# every 32 rounds.  From the first recomputation that finds every cell of the
-# half about to fire below 2T, and none of the other half firable, it walks
-# the edges of the firing run to the end.  Cell i holds vertex i - n - 1, so
-# the origin lies in the first half for odd n and in the second for even n,
-# and round r fires the vertices of the parity of r.  (2, 3) at n = 24 stops
-# in its first batch (16 rounds), on vertex 5 (odd), and is never walked.
-# At n = 77, 86 and 99 it is walked from round 64 and at n = 103 from round
-# 96; the last firing is in round 100 on vertex 24 (even), 127 on 31 (odd),
-# 160 on 38 (even) and 159 on 37 (odd).  At n = 300 the walk starts in round
-# 288 and ends on vertex 134 (even) in round 608, at n = 1234 it starts in
-# round 1376.  (1, 2) and (2, 1) skip the product by their factor of one: at
-# n = 56 and 57 they are walked from round 64 to a last firing in round 127
-# on vertex 47 or -47 (odd), at n = 58 and 59 in round 128 on 48 or -48
-# (even).  (2, 3) at n = 70, (4, 6) at 140 and (5, 6) at 189 are walked from
-# round 32, where a cell inside the run (vertex 7, 7 and 5) fired twice in
-# round 31.  (1, 3) and (3, 1) at n = 84 are walked from round 64, where the
-# run holds two cells, vertices 35 and 36 or -35 and -36, the first of them
-# fired twice in round 63, and the game ends with the second's firing in
-# round 64.  (1, 1) at n = 300 is walked from round 3520 of 13523, 74% of its
-# rounds.  (7, 2) at n = 600 holds a cell of 2T at the recomputation of round
-# 192 and stops in round 205, so it is never walked.
+# The line kernel keeps the even and the odd cells in two halves and fires
+# one half a round, the origin's in round 0, so round r fires the vertices of
+# the parity of r.  From the first round whose half fires no cell more than
+# once it walks the edges of the firing run to the end.  Cell i holds vertex
+# i - n - 1, so the origin lies in the first half for odd n and in the second
+# for even n.  (2, 3) at n = 24 is walked from round 4 and stops in round 15
+# on vertex 5 (odd).  At n = 77, 86, 99 and 103 it is walked from rounds 39,
+# 48, 59 and 67; the last firing is in round 100 on vertex 24 (even), 127 on
+# 31 (odd), 160 on 38 (even) and 159 on 37 (odd).  At n = 300 the walk
+# starts in round 271 and ends on vertex 134 (even) in round 608, at n = 1234
+# it starts in round 1347.  (1, 2) and (2, 1), with a factor of one, are
+# walked from round 51 to 57 and end in round 127 on vertex 47 or -47 (odd)
+# at n = 56 and 57, in round 128 on 48 or -48 (even) at n = 58 and 59.
+# (2, 3) at n = 70, (4, 6) at 140 and (5, 6) at 189 are walked from round
+# 32, where a cell inside the run (vertex 7, 7 and 5) fired twice in round
+# 31.  (1, 3) and (3, 1) at n = 84 are walked from round 64, where the run
+# holds two cells, vertices 35 and 36 or -35 and -36, the first of them fired
+# twice in round 63, and the game ends with the second's firing in round 64.
+# (1, 1) at n = 300 is walked from round 3493 of 13523, 74% of its rounds.
+# (7, 2) at n = 600 is walked from round 202 and stops in round 205.
 @example(game=(2, 3, 24))
 @example(game=(2, 3, 77))
 @example(game=(2, 3, 86))
@@ -413,50 +410,79 @@ def test_line_kernel_checks_catch_a_corrupted_buffer(n, extra, message, monkeypa
         stabilize_line(n, GameParams(2, 3))
 
 
+def _line_index(v, off):
+    """The index of vertex v in the line kernel's lists of the vertices
+    -off..off: cell c = v + off at c >> 1 of the half of its parity, the even
+    half first."""
+    c = v + off
+    return (c >> 1) + (c & 1) * (off + 1)
+
+
+def _first_calm_round(a, b, n):
+    """The parity schedule of the n-chip game, played vertex by vertex up to
+    its first round r whose half fires no vertex more than once.  Returns r,
+    the turn values there (the chips of the parity of r, and those of the
+    other parity plus T for each of their firings in round r - 1) and every
+    vertex's firings through round r - 1."""
+    T = a + b
+    chips, fired, last = {0: n}, {}, {}
+    r = 0
+    while True:
+        firing = {v: c // T for v, c in chips.items() if (v - r) % 2 == 0 and c >= T}
+        if all(k < 2 for k in firing.values()):
+            turn = {v: c + T * last.get(v, 0) for v, c in chips.items()}
+            return r, {v: c for v, c in turn.items() if c}, fired
+        for v, k in firing.items():
+            chips[v] -= T * k
+            chips[v - 1] = chips.get(v - 1, 0) + a * k
+            chips[v + 1] = chips.get(v + 1, 0) + b * k
+            fired[v] = fired.get(v, 0) + k
+        last = firing
+        r += 1
+
+
 def test_line_kernel_walks_once_the_firing_half_is_below_2T(monkeypatch):
-    """(2, 3) at n = 800 fires its last vertex in round 1783.  Its half about
-    to fire is first below 2T, with the other half calm, at the recomputation
-    after 27 batches, 864 rounds, and the walk plays the rest; a kernel that
-    never walked would play 1792 dense rounds."""
-    import numpy as np
+    """(2, 3) at n = 800 fires its last vertex in round 1783.  Round 836 is
+    the first whose half holds fewer than 2T chips in every cell, and the
+    walk takes the game there, once, in the form the parity schedule gives
+    it; a kernel that never walked would play every round dense."""
+    n, p = 800, GameParams(2, 3)
+    off = n + 1
+    walks = []
+    real_walk = engine._walk_line
 
-    dense, walks = [], []
-    real_divide, real_walk = np.floor_divide, engine._walk_line
+    def recording_walk(chips, fires, *args):
+        def read(cells):
+            return {v: cells[_line_index(v, off)] for v in range(-off, off + 1)
+                    if cells[_line_index(v, off)]}
 
-    def counting_divide(*args, **kwargs):
-        dense.append(1)
-        return real_divide(*args, **kwargs)
+        h = args[4]
+        walks.append((h, read(chips), read(fires)))
+        real_walk(chips, fires, *args)
 
-    def recording_walk(*args):
-        walks.append(1)
-        real_walk(*args)
-
-    monkeypatch.setattr(np, "floor_divide", counting_divide)
     monkeypatch.setattr(engine, "_walk_line", recording_walk)
-    p = GameParams(2, 3)
-    assert stabilize_line(800, p) == stabilize(new_state(800, p))
-    assert (len(dense), len(walks)) == (864, 1)
+    assert stabilize_line(n, p) == stabilize(new_state(n, p))
+    r, turn, fired = _first_calm_round(2, 3, n)
+    # Round r fires the vertices of the parity of r, which lie in half
+    # (r + off) & 1.
+    assert r == 836
+    assert walks == [((r + off) & 1, turn, fired)]
 
 
 def _walked(a, b, q, chips, last, off):
-    """``engine._walk_line`` over a buffer of the vertices -off..off, started
+    """``engine._walk_line`` over lists of the vertices -off..off, started
     from chips on the vertices 0..m-1, where those of parity q take the next
     turn and the others fired last[v] times at their last turn.  Returns the
     chips and the firing counts it leaves, as {vertex: count} dicts."""
-    import numpy as np
-
     T = a + b
-    cells, fires = np.zeros(2 * off + 1, dtype=np.int64), np.zeros(2 * off + 1, dtype=np.int64)
-
-    def index(v):
-        c = v + off
-        return (c >> 1) + (c & 1) * (off + 1)
-
+    cells, fires = [0] * (2 * off + 1), [0] * (2 * off + 1)
     for v, (c, k) in enumerate(zip(chips, last)):
-        cells[index(v)], fires[index(v)] = c + T * k, k
+        cells[_line_index(v, off)], fires[_line_index(v, off)] = c + T * k, k
     engine._walk_line(cells, fires, off, T, a, b, (q + off) & 1, off, off + len(chips) - 1)
-    return ({v: int(cells[index(v)]) for v in range(-off, off + 1) if cells[index(v)]},
-            {v: int(fires[index(v)]) for v in range(-off, off + 1) if fires[index(v)]})
+    return ({v: cells[_line_index(v, off)] for v in range(-off, off + 1)
+             if cells[_line_index(v, off)]},
+            {v: fires[_line_index(v, off)] for v in range(-off, off + 1)
+             if fires[_line_index(v, off)]})
 
 
 @st.composite
@@ -514,6 +540,76 @@ def test_walk_from_arbitrary_start_states_matches_engine(start):
 def test_walk_checks_its_clamp_and_its_turn_values(a, b, q, chips, off, message):
     with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
         _walked(a, b, q, chips, [0] * len(chips), off)
+
+
+def test_line_kernel_large_threshold_games_match_engine():
+    """Pairs with a large threshold T, from n = T, where the origin fires
+    once, to n = 3T + 1, where it first fires three times in round 0.  The
+    first epoch's lanes hold up to about 2·bitlen(n) bits; (1, 2^20) needs
+    nine-byte lanes, wider than a machine word."""
+    real = engine._lane_bytes
+    for a, b in [(20, 21), (21, 20), (1, 10), (10, 1), (40, 41), (1, 2**20)]:
+        p = GameParams(a, b)
+        T = p.threshold
+        for n in [T, T + 1, T + 2, 2 * T - 1, 2 * T, 3 * T + 1]:
+            if T > 2**16 and n > T + 2:
+                continue           # lists of 8T cells and more: kept small
+            assert stabilize_line(n, p) == stabilize(new_state(n, p)), (a, b, n)
+    assert real(2**21 + 1, 2**20 + 1) == 9
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (1, 2), (5, 7)])
+def test_line_kernel_games_at_lane_width_steps_match_engine(a, b):
+    """n = 2^k - 1 and 2^k, and the n on both sides of each step where the
+    first epoch's lanes widen by a byte.  That epoch bounds every cell by
+    T·(floor(n/T) + 1) - 1 chips, so (2, 3) widens from two bytes to three
+    at n = 30 and to four at n = 510.  Later epochs narrow again as the pile
+    spreads."""
+    p = GameParams(a, b)
+    T = p.threshold
+    first = [engine._lane_bytes(T * (n // T + 1) - 1, T) for n in range(1101)]
+    steps = [n for n in range(1, 1101) if first[n] > first[n - 1]]
+    if (a, b) == (2, 3):
+        assert steps == [30, 510]
+    games = {m for n in steps for m in (n - 1, n)}
+    games |= {m for k in range(2, 11) for m in (2**k - 1, 2**k)}
+    for n in sorted(games):
+        assert stabilize_line(n, p) == stabilize(new_state(n, p)), (a, b, n)
+
+
+def test_line_kernel_window_grows_and_slides(monkeypatch):
+    """(2, 3) at n = 300 plays five epochs, over the vertices -17..16,
+    -23..32, -13..48, 3..64 and 35..80: the window grows while the pile
+    spreads, slides right with the firing run, and narrows with it; the walk
+    takes the last window.  The even cells of each window are the lanes of
+    its first packed int."""
+    n, p = 300, GameParams(2, 3)
+    packed, walked = [], []
+    real_pack, real_walk = engine._pack, engine._walk_line
+
+    def recording_pack(values, nb):
+        packed.append(len(values))
+        return real_pack(values, nb)
+
+    def recording_walk(chips, fires, off, *args):
+        walked.append((args[-2] - off, args[-1] - off))
+        real_walk(chips, fires, off, *args)
+
+    monkeypatch.setattr(engine, "_pack", recording_pack)
+    monkeypatch.setattr(engine, "_walk_line", recording_walk)
+    assert stabilize_line(n, p) == stabilize(new_state(n, p))
+    assert packed[::2] == [17, 28, 31, 31, 23]
+    assert walked == [(35, 80)]
+
+
+def test_line_kernel_refuses_a_lane_too_narrow(monkeypatch):
+    """With lanes one byte narrower than _lane_bytes gives, (2, 3) at n = 125
+    packs the origin into a 16-bit lane as 125·M = 125·410 = 51250, which
+    reaches its top bit, and the first epoch refuses to play."""
+    real = engine._lane_bytes
+    monkeypatch.setattr(engine, "_lane_bytes", lambda smax, T: real(smax, T) - 1)
+    with pytest.raises(InvariantViolation, match="^line kernel lane of 16 bits overflowed$"):
+        stabilize_line(125, GameParams(2, 3))
 
 
 # One pair per dispatch branch (a = b, gcd > 1, mirror, coprime a < b), as in
