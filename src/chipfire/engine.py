@@ -9,12 +9,11 @@ pluggable schedules, and logs per-vertex firing counts.
 from __future__ import annotations
 
 import random as _random
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd
-from operator import add
+from operator import add, lshift, or_
 
 from .errors import InvalidParams, InvariantViolation
 from .words import numerator
@@ -503,10 +502,14 @@ def oracle_rows(params: GameParams, n_max: int):
 
 
 # Cells the line kernel's window reaches past its firing hull on each side,
-# at least; a wide hull gets an eighth of its width.  Against a sixteenth or
-# a quarter, an eighth was as fast or faster on (2, 3) at n = 500, 20000 and
-# 10^5.  At n < 16 the first window holds the whole buffer.
-_MIN_MARGIN = 16
+# at least; a hull wider than 256 cells gets an eighth of its width.  The
+# floor is all games of a few hundred chips see: over 60 games of 310 to 774
+# chips on the five pairs of the oracle benchmark, floors of 24, 32 and 48
+# ran alike, 16 about 5% and 8 about 15% slower.  The eighth matters from a
+# few thousand chips on: on (2, 3) a quarter ran alike at n = 2·10^4 and
+# 10^5, and a sixteenth 5-7% slower at 10^5 and 2·10^5.  At n < 32 the
+# first window holds the whole buffer.
+_MIN_MARGIN = 32
 
 # Round pairs in one epoch of the line kernel, at most.  An epoch also ends
 # when its firing hull reaches an edge of its window, after about 310 rounds
@@ -527,28 +530,29 @@ def _lane_bytes(smax: int, T: int) -> int:
 
 def _pack(values: list, nb: int) -> int:
     """One int holding ``values`` in lanes of nb bytes, the first lowest."""
-    if nb > 8 or sys.byteorder != "little":
-        return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]), "little")
-    raw = array("Q", values).tobytes()
-    if nb < 8:
-        lanes = bytearray(len(values) * nb)
-        for k in range(nb):
-            lanes[k::nb] = raw[k::8]
-        raw = lanes
-    return int.from_bytes(raw, "little")
+    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]), "little")
 
 
 def _unpack(x: int, count: int, nb: int) -> list:
-    """The ``count`` lanes of nb bytes of x, the inverse of _pack."""
+    """The ``count`` lanes of nb bytes of x, the inverse of _pack.
+
+    Each lane is copied into nw whole 8-byte words, byte k of a lane at a
+    stride of 8·nw, which one struct call reads; a lane wider than 8 bytes
+    is then put together from its words, the highest first.  Reading each
+    lane with its own int.from_bytes took 6 to 7 times as long at the 2- and
+    3-byte lanes of (2, 3), and the whole game 0.75 s against 0.66 s at
+    n = 10^5.
+    """
+    nw = -(-nb // 8)
     raw = x.to_bytes(count * nb, "little")
-    if nb > 8 or sys.byteorder != "little":
-        return [int.from_bytes(raw[k : k + nb], "little") for k in range(0, len(raw), nb)]
-    if nb < 8:
-        words = bytearray(count * 8)
-        for k in range(nb):
-            words[k::8] = raw[k::nb]
-        raw = words
-    return array("Q", raw).tolist()
+    words = bytearray(count * 8 * nw)
+    for k in range(nb):
+        words[k :: 8 * nw] = raw[k::nb]
+    q = struct.unpack(f"<{count * nw}Q", words)
+    lanes = q[nw - 1 :: nw]
+    for j in range(nw - 2, -1, -1):
+        lanes = map(or_, map(lshift, lanes, repeat(64)), q[j::nw])
+    return list(lanes)
 
 
 def stabilize_line(n: int, params: GameParams, *,

@@ -392,9 +392,10 @@ def test_stabilize_line_other_params():
 def test_line_kernel_checks_catch_a_corrupted_buffer(n, extra, message, monkeypatch):
     """The line kernel's first cell holds vertex -n-1, outside the vertices
     -n..n it fires.  One extra chip there is never fired and ends in the
-    final state.  At n = 9 a pile of T = 5 there is firable, and the hull
-    recomputation after the first batch, which scans one cell past the clamp,
-    finds it.  At n = 800 the game is walked from round 864 and never comes
+    final state.  At n = 9 a pile of T = 5 there is firable: the first
+    window holds the whole buffer, so the pile is an edge lane of it, the
+    first round fires that lane and ends the epoch, and the escape check
+    raises.  At n = 800 the game is walked from round 836 and never comes
     near vertex -801, so the pile, like the extra chip, ends in the final
     state; the walk updates only cells beside its run and reads no cell past
     the buffer."""
@@ -578,11 +579,11 @@ def test_line_kernel_games_at_lane_width_steps_match_engine(a, b):
 
 
 def test_line_kernel_window_grows_and_slides(monkeypatch):
-    """(2, 3) at n = 300 plays five epochs, over the vertices -17..16,
-    -23..32, -13..48, 3..64 and 35..80: the window grows while the pile
-    spreads, slides right with the firing run, and narrows with it; the walk
-    takes the last window.  The even cells of each window are the lanes of
-    its first packed int."""
+    """(2, 3) at n = 300 plays three epochs, over the vertices -33..32,
+    -29..64 and 19..96: the window grows while the pile spreads, then slides
+    right with the firing run and narrows with it; the walk takes the last
+    window.  The even cells of each window are the lanes of its first packed
+    int."""
     n, p = 300, GameParams(2, 3)
     packed, walked = [], []
     real_pack, real_walk = engine._pack, engine._walk_line
@@ -598,8 +599,18 @@ def test_line_kernel_window_grows_and_slides(monkeypatch):
     monkeypatch.setattr(engine, "_pack", recording_pack)
     monkeypatch.setattr(engine, "_walk_line", recording_walk)
     assert stabilize_line(n, p) == stabilize(new_state(n, p))
-    assert packed[::2] == [17, 28, 31, 31, 23]
-    assert walked == [(35, 80)]
+    assert packed[::2] == [33, 47, 39]
+    assert walked == [(19, 96)]
+
+
+@pytest.mark.parametrize("nb", [1, 2, 3, 7, 8, 9, 15, 16, 17, 24])
+def test_line_kernel_lanes_unpack_to_what_was_packed(nb):
+    """Lanes of one to three 8-byte words come back whole, the full lane
+    and the lane with only its top byte set included, so every word of a
+    wide lane lands in its place."""
+    full = (1 << 8 * nb) - 1
+    values = [0, full, 1 << 8 * (nb - 1), 1, full >> 1, 0x5A * (full // 255)]
+    assert engine._unpack(engine._pack(values, nb), len(values), nb) == values
 
 
 def test_line_kernel_refuses_a_lane_too_narrow(monkeypatch):
