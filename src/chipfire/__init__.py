@@ -46,7 +46,6 @@ from .settlements import (
     settlement_next,
 )
 from .predictor import (
-    PredictorProfile,
     aa_final,
     binary_trick_left,
     compute_profile,

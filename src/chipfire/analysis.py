@@ -12,7 +12,6 @@ Everything here is a pure function over immutable snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -31,18 +30,6 @@ __all__ = [
     "segments_weighted_sum",
     "firings_from_weight",
 ]
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """Exact side values of a state, split at the origin."""
-
-    s_at_1: int
-    s_at_boa: Fraction
-    left_at_1: int
-    right_at_1: int
-    left_at_boa: Fraction
-    right_at_boa: Fraction
 
 
 def state_poly_eval(state: ChipState, t: Fraction | int) -> Fraction:
@@ -83,9 +70,9 @@ def combine(left: tuple, right: tuple, params: GameParams) -> ChipState:
 
 
 def side_values(left: tuple, right: tuple, f0: int, f1: int,
-                params: GameParams) -> InvariantReport:
-    """Side values of a state reached from n chips at the origin with f0
-    origin and f1 origout firings.
+                params: GameParams) -> tuple[int, int]:
+    """The values at b/a of the two parts of a state reached from n chips at
+    the origin with f0 origin and f1 origout firings, as (left, right).
 
     ``left`` and ``right`` are the state's parts as ``split`` gives them;
     each is valued at 1 by its digit sum and at b/a by eval_base, which
@@ -115,14 +102,7 @@ def side_values(left: tuple, right: tuple, f0: int, f1: int,
             )
     if left_b.denominator != 1 or right_b.denominator != 1:
         raise InconsistentLog(f"side values at b/a not integral: {left_b}, {right_b}")
-    return InvariantReport(
-        s_at_1=n,
-        s_at_boa=left_b + right_b,
-        left_at_1=left_1,
-        right_at_1=right_1,
-        left_at_boa=left_b,
-        right_at_boa=right_b,
-    )
+    return int(left_b), int(right_b)
 
 
 def weighted_sum(state: ChipState) -> int:

@@ -186,7 +186,6 @@ def cmd_base(args, out) -> int:
 
 def cmd_profile(args, out) -> int:
     params = GameParams(args.a, args.b)
-    params.require_structured()
     prof = profile_for(params)
     c = params.c
     a, b = params.a, params.b
@@ -303,11 +302,10 @@ def cmd_bench(args, out) -> int:
     grid = [_int(tok, "bench grid") for tok in args.grid.split(",") if tok.strip()]
     if not grid or any(n < 0 for n in grid):
         raise InvalidParams(f"bad bench grid {args.grid!r}")
-    # Warm up outside the timed region: one small line game and, for
-    # structured pairs, the one-off profile certification.  The answer is not
-    # materialized, so a grid too large for the oracle's buffer is refused
-    # there, before any state is built.
-    stabilize_line(params.threshold, params)
+    # Warm up outside the timed region: for structured pairs, the one-off
+    # profile certification.  The answer is not materialized, so a grid too
+    # large for the oracle's buffer is refused there, before any state is
+    # built.
     final_answer(min(grid), params)
     print(f"a={params.a} b={params.b}", file=out)
     print(f"{'n':>10}  {'oracle_s':>10}  {'fast_s':>10}  match", file=out)

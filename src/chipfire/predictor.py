@@ -369,10 +369,9 @@ def final_answers(lo: int, hi: int, params: GameParams) -> Iterator[FinalAnswer]
 
 
 def _split_origin(head: tuple) -> tuple[tuple, int]:
-    """(head without its last digit, that digit, the one at position 0)."""
-    *rest, (block, count) = head
-    if count > 1:
-        rest.append((block, count - 1))
+    """(head without its last digit, that digit, the one at position 0).
+    Every head the dispatch builds ends in a segment with count 1."""
+    *rest, (block, _) = head
     if len(block) > 1:
         rest.append((block[:-1], 1))
     return tuple(rest), block[-1]
@@ -388,7 +387,7 @@ def _lifts(answer: FinalAnswer, d: int, qs: range) -> Iterator[FinalAnswer]:
     tail = scale(answer.tail)
     for q in qs:
         yield FinalAnswer(rest + (((origin + q,), 1),), tail, d * answer.left_value + q,
-                          answer.f0, answer.f1, answer.total)
+                          answer.f0, answer.f1)
 
 
 def _mirror(answer: FinalAnswer, a: int) -> FinalAnswer:
@@ -402,7 +401,7 @@ def _mirror(answer: FinalAnswer, a: int) -> FinalAnswer:
 
     rest, origin = _split_origin(answer.head)
     return FinalAnswer(reverse(answer.tail) + (((origin,), 1),), reverse(rest),
-                       origin + a * (answer.f0 - answer.f1), answer.f0, None, answer.total)
+                       origin + a * (answer.f0 - answer.f1), answer.f0, None)
 
 
 def final_state(n: int, params: GameParams) -> DigitWord:

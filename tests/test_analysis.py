@@ -93,27 +93,30 @@ def _side_values(state, log):
 def test_side_values_seven_one_two():
     p = GameParams(1, 2)
     final, log = stabilize(new_state(7, p))
-    rep = _side_values(final, log)
-    assert rep.right_at_1 == 3 and rep.right_at_boa == 1
+    left, right = split(final)
+    left_value, right_value = _side_values(final, log)
+    assert sum(right) == 3 and right_value == 1
     assert log.fires.get(0, 0) == 2 and log.fires.get(1, 0) == 1
-    assert rep.left_at_1 + rep.right_at_1 == rep.s_at_1 == 7
-    assert rep.s_at_boa == 7
+    assert sum(left) + sum(right) == 7
+    assert left_value + right_value == 7
 
 
 def test_side_values_seventeen_two_three():
     p = GameParams(2, 3)
     final, log = stabilize(new_state(17, p))
-    rep = _side_values(final, log)
-    assert rep.right_at_1 == 8 and rep.right_at_boa == 4
+    _, right = split(final)
+    _, right_value = _side_values(final, log)
+    assert sum(right) == 8 and right_value == 4
     assert log.fires.get(0, 0) == 4 and log.fires.get(1, 0) == 2
 
 
 def test_side_values_below_threshold():
     p = GameParams(2, 3)
     final, log = stabilize(new_state(4, p))
-    rep = _side_values(final, log)
+    left, right = split(final)
+    _side_values(final, log)
     assert log.fires.get(0, 0) == log.fires.get(1, 0) == 0
-    assert rep.right_at_1 == 0 and rep.left_at_1 == 4
+    assert sum(right) == 0 and sum(left) == 4
 
 
 def test_side_values_rejects_wrong_log():
@@ -160,9 +163,8 @@ def test_firings_from_M_mirrored_params():
 def test_side_values_hold_for_random_runs(n, pair, seed):
     p = GameParams(*pair)
     final, log = stabilize(new_state(n, p), FiringStrategy.random(seed))
-    rep = _side_values(final, log)  # raises InconsistentLog on any violation
-    assert rep.left_at_boa.denominator == 1
-    assert rep.right_at_boa.denominator == 1
+    values = _side_values(final, log)  # raises InconsistentLog on any violation
+    assert all(type(value) is int for value in values)
     assert firings_from_M(final) == log.total
 
 

@@ -541,6 +541,23 @@ BRANCH_PAIRS = [(2, 2), (3, 3), (4, 6), (2, 4), (3, 2), (5, 3), (1, 2), (2, 3), 
 
 
 @pytest.mark.parametrize("a, b", BRANCH_PAIRS)
+def test_every_head_ends_in_a_single_segment(a, b):
+    """Every answer's head ends in a segment with count 1, on both sides of
+    the H of the coprime pair it reduces to: the gcd lift and the mirror
+    split the origin digit off that segment alone."""
+    from math import gcd
+
+    from chipfire import GameParams
+    from chipfire.predictor import final_answers, profile_for
+
+    d = gcd(a, b)
+    H = 0 if a == b else profile_for(GameParams(min(a, b) // d, max(a, b) // d)).H
+    hi = d * (H + 20)
+    heads = [answer.head for answer in final_answers(0, hi, GameParams(a, b))]
+    assert [n for n, head in enumerate(heads) if head[-1][1] != 1] == []
+
+
+@pytest.mark.parametrize("a, b", BRANCH_PAIRS)
 def test_text_state_equals_json_state(a, b):
     from chipfire import GameParams, new_state, stabilize, string_to_word
 

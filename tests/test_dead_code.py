@@ -1,7 +1,8 @@
 """Every function, class and method in the package has a reader, and one
 outside the tests but for two reference implementations, every method,
-property and field of a package class is read as an attribute, and every
-exported name exists and is named outside its module."""
+property and field of a package class is read as an attribute, outside the
+tests for a field, and every exported name exists and is named outside its
+module."""
 
 import ast
 import importlib
@@ -128,22 +129,31 @@ def _fields(tree: ast.Module):
                     yield node, stmt.target.id
 
 
-def test_every_field_is_read():
-    # Passing a field to the constructor is no reader: only a load of the
-    # attribute, such as ``rep.f0``, is.
-    read = set()
-    for reader in READERS:
-        for path in sorted((ROOT / reader).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
-    unread = [
+def _unread_fields(readers) -> list[str]:
+    """Every record field that no file under the ``readers`` loads as an
+    attribute.  Passing a field to the constructor is no reader: only a load
+    of the attribute, such as ``rep.f0``, is."""
+    read = {node.attr for path in _sources(readers)
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [
         f"{path.relative_to(ROOT)}:{cls.lineno} {cls.name}.{field}"
         for path in sorted(PACKAGE.glob("*.py"))
         for cls, field in _fields(ast.parse(path.read_text(), str(path)))
         if field not in read
     ]
+
+
+def test_every_field_is_read():
+    unread = _unread_fields(READERS)
     assert not unread, unread
+
+
+def test_no_field_is_read_only_by_tests():
+    """Each record field is read by the package or the benchmark: a field
+    that only tests read is a value the laboratory computes and never uses."""
+    test_only = _unread_fields(("src", "perfbench"))
+    assert not test_only, test_only
 
 
 def _defaulted(node: ast.FunctionDef, is_member: bool):
