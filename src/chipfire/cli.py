@@ -43,6 +43,7 @@ from .settlements import (
 )
 from .verify import SUITES
 from .words import (
+    digits_to_string,
     eval_base,
     record_texts,
     render_digits,
@@ -202,7 +203,7 @@ def cmd_profile(args, out) -> int:
     print(f"settlements cycle from k = {k0}{drift}", file=out)
     count, last_dormant = dormant_census(params)
     print(f"dormant settlements = {count}, last at k = {last_dormant}", file=out)
-    deltas = ", ".join(word_to_string(d).lstrip(".,") for d in delta_strings(params))
+    deltas = ", ".join(digits_to_string(d.digits) for d in delta_strings(params))
     print(f"delta strings: {deltas}", file=out)
     print(f"eventual origout digit = {c * (b - a)}", file=out)
     print(f"eventual right value at b/a = {a * c} (= a*c)", file=out)
@@ -282,6 +283,10 @@ def cmd_verify(args, out) -> int:
             raise InvalidParams(f"verify {suite} does not take {', '.join(ignored)}")
     if args.seed is not None and not 0 <= args.seed <= _MAX_SEED:
         raise InvalidParams(f"--seed must lie in 0..{_MAX_SEED}, got {args.seed}")
+    if suite == "all":
+        # Refuse what settlements and predictor would before any suite plays.
+        for a, b in pairs or ():
+            GameParams(a, b).require_structured()
     reports = []
     for name in SUITES if suite == "all" else [suite]:
         kwargs = {key: value for key, value in given.items() if key in _SUITE_OPTIONS[name]}

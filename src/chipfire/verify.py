@@ -52,7 +52,9 @@ from .settlements import (
     tetrahedral_highest_dormant_index,
     tetrahedral_periodic_start,
 )
-from .words import DigitWord, eval_base, segment_digits, word_to_string
+from .words import DigitWord, digits_to_string, eval_base, segment_digits
+# word_to_string stays importable here because span tracers patch it by module.
+from .words import word_to_string  # noqa: F401
 
 __all__ = [
     "SuiteReport",
@@ -307,8 +309,8 @@ def settlements_suite(pairs: list[tuple[int, int]] | None = None) -> SuiteReport
         if tetrahedral_periodic_start(p) != start:
             k_t = tetrahedral_periodic_start(p)
             drift_anchor.append(
-                f"a={a} b={b} c={p.c}: anchor word .{_w(words[start])} first at "
-                f"k={start}, not Te_c+1={k_t} (xi_{k_t} = .{_w(words[k_t])})"
+                f"a={a} b={b} c={p.c}: anchor word .{digits_to_string(words[start])} first at "
+                f"k={start}, not Te_c+1={k_t} (xi_{k_t} = .{digits_to_string(words[k_t])})"
             )
         if tetrahedral_highest_dormant_index(p) != highest_dormant_index(p):
             k_t = tetrahedral_highest_dormant_index(p)
@@ -327,10 +329,6 @@ def settlements_suite(pairs: list[tuple[int, int]] | None = None) -> SuiteReport
             "c >= 4; true index is (c-1)(c+2)/2: " + "; ".join(drift_dormant)
         )
     return rep
-
-
-def _w(word: tuple[int, ...]) -> str:
-    return word_to_string(DigitWord.fraction(word))[1:] or "0"
 
 
 def predictor_suite(

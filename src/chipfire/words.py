@@ -29,6 +29,7 @@ __all__ = [
     "to_base",
     "eval_base",
     "word_to_string",
+    "digits_to_string",
     "render_digits",
     "segment_digits",
     "segment_length",
@@ -194,6 +195,13 @@ def word_to_string(
     tail = w.fraction_digits()
     want_dot = bool(tail) or radix_mark == "always" or not head
     return render_digits(((head, 1),), ((tail, 1),), want_dot, list_form)
+
+
+def digits_to_string(digits: tuple) -> str:
+    """The digits of a part without a radix mark: compact ("2243") when every
+    digit is at most 9, otherwise joined by commas ("14,3,10")."""
+    segments = ((digits, 1),)
+    return compact_segments(segments) or list_segments(segments)
 
 
 # Digits 0..9 as the bytes of their characters and every other byte as a NUL

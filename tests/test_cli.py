@@ -11,6 +11,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import chipfire.settlements
+import chipfire.verify
 from chipfire import cli
 from chipfire.cli import RECORD_FIELDS, main
 
@@ -234,6 +236,23 @@ def test_scan_cap_refusal_exits_two(argv, capsys):
     assert capsys.readouterr().err == "error: no balanced n below 20000 for (100,101)\n"
 
 
+def _no_deltas(*args):
+    raise AssertionError("the refusal must not build delta strings")
+
+
+@pytest.mark.parametrize("argv", [
+    ("final", "5", "-a", "20000", "-b", "20001"),
+    ("profile", "-a", "20000", "-b", "20001"),
+])
+def test_scan_cap_refusal_builds_no_delta_strings(argv, monkeypatch, capsys):
+    """(20000, 20001) has c = 20000, whose delta strings hold about 4·10^8
+    digits; the scan cap refuses the pair before any of them is built."""
+    monkeypatch.setattr(chipfire.settlements, "_delta_tuples", _no_deltas)
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: no balanced n below 20000 for (20000,20001)\n"
+
+
 # 10**17 chips need oracle buffers of exabytes, beyond any 64-bit address
 # space, so the allocation fails at once.  Mid-size n could really be
 # allocated.
@@ -385,6 +404,21 @@ def test_verify_refuses_ignored_options(argv, message, capsys):
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _no_game(*args, **kwargs):
+    raise AssertionError("the refusal must come before any game")
+
+
+def test_verify_all_refuses_a_pair_before_any_game(monkeypatch, capsys):
+    """settlements and predictor refuse (3, 2), so `verify all` refuses it
+    before confluence and invariants play a game."""
+    monkeypatch.setattr(chipfire.verify, "stabilize", _no_game)
+    monkeypatch.setattr(chipfire.verify, "oracle_rows", _no_game)
+    code, out = run_cli("verify", "all", "-a", "3", "-b", "2")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: (3, 2) must be coprime with a < b for this operation\n")
 
 
 def test_verify_accepts_workers_and_suite_options():

@@ -330,11 +330,11 @@ def _line_games(draw):
 @example(game=(1, 1, 1))
 @example(game=(1, 1, 2))
 @example(game=(1, 1, 3))
-# The line kernel keeps the even and the odd cells in two halves and fires
-# one half a round, the origin's in round 0, so round r fires the vertices of
-# the parity of r.  From the first round whose half fires no cell more than
-# once it walks the edges of the firing run to the end.  Cell i holds vertex
-# i - n - 1, so the origin lies in the first half for odd n and in the second
+# The line kernel fires the cells of one parity a round, the origin's in
+# round 0, so round r fires the vertices of the parity of r.  From the first
+# round whose parity fires no cell more than once it walks the edges of the
+# firing run to the end.  Cell i holds vertex i - n - 1, so the origin sits
+# in cell n + 1, which is an even cell for odd n and an odd cell
 # for even n.  (2, 3) at n = 24 is walked from round 4 and stops in round 15
 # on vertex 5 (odd).  At n = 77, 86, 99 and 103 it is walked from rounds 39,
 # 48, 59 and 67; the last firing is in round 100 on vertex 24 (even), 127 on
@@ -411,12 +411,39 @@ def test_line_kernel_checks_catch_a_corrupted_buffer(n, extra, message, monkeypa
         stabilize_line(n, GameParams(2, 3))
 
 
+@pytest.mark.parametrize("n, extra, message", [
+    pytest.param(9, 1, "line stabilizer lost chips or stopped early at n=9", id="extra-chip"),
+    pytest.param(9, 5, "support escaped the [-n-1, n+1] window", id="escaped-pile"),
+    pytest.param(800, 1, "line stabilizer lost chips or stopped early at n=800",
+                 id="extra-chip-walked"),
+    pytest.param(800, 5, "line stabilizer lost chips or stopped early at n=800",
+                 id="far-pile-walked"),
+])
+def test_line_kernel_checks_catch_a_corrupted_right_edge(n, extra, message, monkeypatch):
+    """The mirror of test_line_kernel_checks_catch_a_corrupted_buffer: the
+    line kernel's last cell holds vertex n+1, outside the vertices -n..n it
+    fires.  One extra chip there is never fired and ends in the final state.
+    At n = 9 a pile of T = 5 there is firable: it has the origin's parity,
+    so round 0 fires it as an edge lane of the first window, which holds the
+    whole buffer, and the escape check raises.  At n = 800 the walk never
+    comes near vertex 801, so the pile, like the extra chip, ends in the
+    final state."""
+    real = engine._cells
+
+    def seeded(*args):
+        chips, fires = real(*args)
+        chips[_line_index(n + 1, n + 1)] += extra
+        return chips, fires
+
+    monkeypatch.setattr(engine, "_cells", seeded)
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        stabilize_line(n, GameParams(2, 3))
+
+
 def _line_index(v, off):
     """The index of vertex v in the line kernel's lists of the vertices
-    -off..off: cell c = v + off at c >> 1 of the half of its parity, the even
-    half first."""
-    c = v + off
-    return (c >> 1) + (c & 1) * (off + 1)
+    -off..off, which hold them in vertex order."""
+    return v + off
 
 
 def _first_calm_round(a, b, n):

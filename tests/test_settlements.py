@@ -14,6 +14,7 @@ from chipfire import (
     settlement_next,
     word_to_string,
 )
+from chipfire import settlements
 from chipfire.analysis import segments_weighted_sum
 from chipfire.errors import InvalidParams, ScanExhausted
 from chipfire.predictor import profile_for
@@ -105,6 +106,19 @@ def test_delta_strings_three_four():
 def test_delta_strings_two_three():
     p = GameParams(2, 3)
     assert [d.fraction_digits() for d in delta_strings(p)] == [(4, 3), (4, 1, 3)]
+
+
+def test_early_settlements_build_no_delta_strings(monkeypatch):
+    """Below the periodic start a settlement is iterated, so a pair with
+    c = 10^6, whose delta strings hold about 10^12 digits, answers its
+    first settlements without building them."""
+    def no_deltas(*args):
+        raise AssertionError("an early settlement must not build delta strings")
+
+    monkeypatch.setattr(settlements, "_delta_tuples", no_deltas)
+    a, b = 10**6, 10**6 + 1
+    p = GameParams(a, b)
+    assert [settlement(k, p).digits for k in range(4)] == [(), (b,), (1, b), (b + 1, b)]
 
 
 @pytest.mark.parametrize("a,b", STRUCTURED_PAIRS)

@@ -17,7 +17,13 @@ from chipfire import (
 )
 from chipfire.analysis import segments_weighted_sum
 from chipfire.errors import InvalidBase, ParseError
-from chipfire.words import compact_segments, list_segments, segment_digits, segment_length
+from chipfire.words import (
+    compact_segments,
+    digits_to_string,
+    list_segments,
+    segment_digits,
+    segment_length,
+)
 
 P23 = GameParams(2, 3)
 
@@ -108,6 +114,15 @@ def test_list_form_big_digits():
     w = string_to_word("14,3.10,2")
     assert w.digits == (14, 3, 10, 2) and w.radix == -2
     assert word_to_string(w) == "14,3.10,2"
+
+
+@pytest.mark.parametrize("digits, text", [
+    ((), ""), ((4, 3), "43"), ((10,), "10"), ((14, 3, 10), "14,3,10"), ((300, 0), "300,0"),
+])
+def test_digits_to_string_has_no_radix_mark(digits, text):
+    """A part's digits alone: compact when each is at most 9, else joined by
+    commas, with no lone-dot token even for a single digit above 9."""
+    assert digits_to_string(digits) == text
 
 
 def test_pure_fraction_and_empty():
