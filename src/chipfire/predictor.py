@@ -1,9 +1,10 @@
 """Fast computation of final states, always equal to the simulation oracle.
 
-Dispatch: a == b has a closed form; gcd(a,b) = d > 1 reduces to the coprime
-pair (a/d, b/d); a > b mirrors to (b, a).  For coprime a < b the final state
-is simulated (and memoized) up to a certified threshold H, past which the
-structure theory takes over:
+Dispatch: a == b has a closed form; every other pair is answered from its
+coprime base (min(a,b)/d, max(a,b)/d), d = gcd(a,b), in one loop that
+mirrors each base answer when a > b and lifts it by d when d > 1.  For the
+coprime base a < b the final state is simulated (and memoized) up to a
+certified threshold H, past which the structure theory takes over:
 
   * the left part is the unique word over the digit alphabet [a, a+b) whose
     base-b/a value is n - a*c, and
@@ -314,19 +315,22 @@ def final_answer(n: int, params: GameParams) -> FinalAnswer:
 def final_answers(lo: int, hi: int, params: GameParams) -> Iterator[FinalAnswer]:
     """The answers for n = lo..hi chips at the origin, in order.
 
-    One dispatch: a == b has a closed form; gcd(a, b) = d > 1 lifts the
-    reduced game's answers (its firing sequences are admitted, so f0 and f1
-    carry over), each reduced answer for p serving n = p*d .. p*d + d - 1;
-    a > b mirrors the (b, a) answers, which keeps the origin count but not
-    the origout count; coprime a < b reads the certified table up to H and
-    the structure theory past it.  Past H the first left word is peeled from
-    its value and each later one is the elevated increment of the one
-    before, in place, whose explosions advance the settlement index; the
-    increment keeps the value and the digit range, so it gives the same word
-    in amortized O(1).  The total is left to FinalAnswer.counts, which reads
-    M off the segments in O(c + log n) past H: M scales by d under the lift
-    and changes sign under the mirror, as b - a does.  Each branch sets the
-    left value at b/a from the counts it has (see FinalAnswer).
+    One dispatch, one loop: a == b has a closed form; any other pair loops
+    over the chip counts p = lo//d .. hi//d of its coprime base
+    (min(a, b)/d, max(a, b)/d), d = gcd(a, b), which is params itself when
+    d = 1 and a < b.  Each base answer comes from the certified table up to
+    H and from the structure theory past it.  It is then mirrored when
+    a > b, which keeps the origin count but not the origout count, and when
+    d > 1 scaled once and lifted to the counts p*d .. p*d + d - 1 in lo..hi
+    (the base game's firing sequences are admitted, so f0 and f1 carry
+    over).  Past H the first left word is peeled from its value and each
+    later one is the elevated increment of the one before, in place, whose
+    explosions advance the settlement index; the increment keeps the value
+    and the digit range, so it gives the same word in amortized O(1).  The
+    total is left to FinalAnswer.counts, which reads M off the segments in
+    O(c + log n) past H: M scales by d under the lift and changes sign
+    under the mirror, as b - a does.  Each branch sets the left value at
+    b/a from the counts it has (see FinalAnswer).
     """
     if lo < 0:
         raise InvalidParams("chip count must be non-negative")
@@ -340,32 +344,28 @@ def final_answers(lo: int, hi: int, params: GameParams) -> Iterator[FinalAnswer]
             side = (((a,), k),) if k else ()
             yield FinalAnswer(side + (((q,), 1),), side, a * k + q, None, None)
         return
-    d = params.d
-    if d > 1:
-        p = lo // d
-        for answer in final_answers(p, hi // d, GameParams(a // d, b // d)):
+    d, mirror = params.d, a > b
+    base = GameParams(min(a, b) // d, max(a, b) // d) if d > 1 or mirror else params
+    a, b, c = base.a, base.b, base.c
+    prof = profile_for(base)
+    seq, first = seq_for(base), max(lo // d, prof.H + 1)
+    for p in range(lo // d, hi // d + 1):
+        if p < first:
+            _, left, right, f0, f1 = prof.rows[p]
+            answer = FinalAnswer.parts(p, left, right, f0, f1, a)
+        else:
+            if p == first:
+                left, k = _fast_parts(p, base, prof)
+                digits = list(left)
+            else:
+                k += _increment(digits, a, b)
+            answer = FinalAnswer(((tuple(digits), 1),), seq.segments(k), p - a * c, k, k - c)
+        if mirror:
+            answer = _mirror(answer, a)
+        if d == 1:
+            yield answer
+        else:
             yield from _lifts(answer, d, range(max(lo - p * d, 0), min(hi - p * d, d - 1) + 1))
-            p += 1
-        return
-    if a > b:
-        for answer in final_answers(lo, hi, GameParams(b, a)):
-            yield _mirror(answer, b)
-        return
-    prof = profile_for(params)
-    for n in range(lo, min(hi, prof.H) + 1):
-        _, left, right, f0, f1 = prof.rows[n]
-        yield FinalAnswer.parts(n, left, right, f0, f1, a)
-    first = max(lo, prof.H + 1)
-    if first > hi:
-        return
-    seq, c = seq_for(params), params.c
-    ac = a * c
-    left, k = _fast_parts(first, params, prof)
-    digits = list(left)
-    for n in range(first, hi + 1):
-        if n > first:
-            k += _increment(digits, a, b)
-        yield FinalAnswer(((tuple(digits), 1),), seq.segments(k), n - ac, k, k - c)
 
 
 def _split_origin(head: tuple) -> tuple[tuple, int]:
@@ -377,7 +377,7 @@ def _split_origin(head: tuple) -> tuple[tuple, int]:
     return tuple(rest), block[-1]
 
 
-def _lifts(answer: FinalAnswer, d: int, qs: range) -> Iterator[FinalAnswer]:
+def _lifts(answer: FinalAnswer, d: int, qs: range) -> list[FinalAnswer]:
     """lift_noncoprime on an answer for each q in qs: every digit times d,
     scaled once, plus q at the origin, which is worth d*L + q at b/a."""
     def scale(segments):
@@ -385,9 +385,8 @@ def _lifts(answer: FinalAnswer, d: int, qs: range) -> Iterator[FinalAnswer]:
 
     rest, origin = _split_origin(scale(answer.head))
     tail = scale(answer.tail)
-    for q in qs:
-        yield FinalAnswer(rest + (((origin + q,), 1),), tail, d * answer.left_value + q,
-                          answer.f0, answer.f1)
+    return [FinalAnswer(rest + (((origin + q,), 1),), tail, d * answer.left_value + q,
+                        answer.f0, answer.f1) for q in qs]
 
 
 def _mirror(answer: FinalAnswer, a: int) -> FinalAnswer:

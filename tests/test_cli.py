@@ -804,8 +804,9 @@ def test_json_record_runs_one_dispatch(a, b, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 41 and len(calls) == 1
 
 
-# Every dispatch branch, (20, 21) with H = 1071, and (3, 5).
-STEP_PAIRS = BRANCH_PAIRS + [(20, 21), (3, 5)]
+# Every dispatch branch, (20, 21) with H = 1071, (3, 5), and the lifted
+# mirrors (6, 4) and (9, 6).
+STEP_PAIRS = BRANCH_PAIRS + [(20, 21), (3, 5), (6, 4), (9, 6)]
 ORACLE_STEP_PAIRS = {(1, 2), (2, 3), (3, 5), (20, 21)}
 ORACLE_MAX_N = 1500
 
@@ -833,6 +834,8 @@ def _first_stepped(a, b):
        offset=st.integers(-40, 5), free_lo=st.integers(0, 10**5),
        width=st.integers(0, 40), far=st.integers(0, 10**12))
 @example(pair=(20, 21), near=False, offset=0, free_lo=0, width=ORACLE_MAX_N, far=10**12)
+@example(pair=(6, 4), near=True, offset=-3, free_lo=0, width=8, far=10**12)
+@example(pair=(9, 6), near=True, offset=-4, free_lo=0, width=10, far=10**12)
 @settings(max_examples=60, deadline=None)
 def test_range_answers_equal_per_n_answers(pair, near, offset, free_lo, width, far):
     """`final --range lo hi` prints the per-N outputs of `final N`, byte for
@@ -862,6 +865,35 @@ def test_range_answers_equal_per_n_answers(pair, near, offset, free_lo, width, f
             n, left, right, f0, f1 = row
             assert (segment_digits(answer.head), segment_digits(answer.tail),
                     answer.f0, answer.f1) == (left, right, f0, f1), (pair, n)
+
+
+@pytest.mark.parametrize("a, b", BRANCH_PAIRS + [(6, 4), (9, 6)])
+def test_every_answer_runs_one_dispatch_generator(a, b, monkeypatch):
+    """One `final_answer`, and one `final_answers` range, reach `final_answers`
+    once, on every dispatch branch and on the lifted mirrors (6, 4) and
+    (9, 6), on both sides of d * (H + 1): the mirror and the gcd lift run
+    inside that one generator rather than through calls to it."""
+    import chipfire.predictor as predictor
+    from chipfire import GameParams
+
+    calls = []
+    real = predictor.final_answers
+
+    def counting(lo, hi, params):
+        calls.append((lo, hi, params))
+        return real(lo, hi, params)
+
+    monkeypatch.setattr(predictor, "final_answers", counting)
+    p = GameParams(a, b)
+    first = _first_stepped(a, b)
+    for n in (0, first):
+        calls.clear()
+        predictor.final_answer(n, p)
+        assert len(calls) == 1, (a, b, n, calls)
+    calls.clear()
+    lo, hi = max(0, first - 2 * p.d), first + 2 * p.d
+    assert len(list(predictor.final_answers(lo, hi, p))) == hi - lo + 1
+    assert len(calls) == 1, (a, b, lo, hi, calls)
 
 
 RENDER_PAIRS = sorted(set(BRANCH_PAIRS) | {(20, 21), (3, 8), (6, 9), (9, 6), (10, 15)})
